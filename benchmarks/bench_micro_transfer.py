@@ -1,11 +1,11 @@
-"""Raw stream-channel throughput: per-row vs RowBlock vs columnar framing.
+"""Raw stream-channel throughput: one-row vs many-row vs columnar frames.
 
-Acceptance bars for the two framing refactors, on a single channel moving
+Acceptance bars for the two framing decisions, on a single channel moving
 the identical row sequence:
 
-- RowBlock: 256-row blocks must at least halve wall clock against the
-  per-row seed path.
-- Columnar: one typed ``C`` frame must beat the per-row seed path by the
+- Row blocks: 256-row frames must at least halve wall clock against
+  one-row frames (``batch_rows=1``).
+- Columnar: one typed ``C`` frame must beat one-row frames by the
   ``COLUMNAR_SPEEDUP_FLOOR`` factor (default 8x; CI's shared runners set a
   relaxed floor via the env var and publish the JSON results artifact).
 """

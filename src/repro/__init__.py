@@ -115,22 +115,26 @@ def make_deployment(
     ``workers_per_node`` slots per server; a transfer coordinator with the
     paper's 4 KB buffers; and an :class:`AnalyticsPipeline` on top.
 
-    ``transport`` selects the stream channel implementation: ``"memory"``
-    (thread-safe spillable buffers, the default) or ``"socket"`` (real
-    kernel socket pairs with non-blocking senders — §3's literal TCP step).
+    ``transport`` selects the byte pipe under every stream channel:
+    ``"memory"`` (a thread-safe spillable buffer, the default) or
+    ``"socket"`` (one real kernel socket pair per SQL worker with a
+    non-blocking sender — §3's literal TCP step — shared by that worker's
+    channels as tagged streams).  Framing, byte accounting, replay dedup
+    and abort/cancel semantics live in the one channel class above the
+    pipe and are identical on both.
 
-    ``batch_rows`` sets the RowBlock size of the transfer stack — how many
+    ``batch_rows`` sets the block size of the row transfer stack — how many
     rows travel per frame/lock acquisition on every stream channel and
-    broker record.  ``batch_rows=1`` reproduces the seed's per-row wire
-    format exactly.
+    broker record.  ``batch_rows=1`` sends one-row frames; ledger bytes are
+    the same at every setting.
 
     ``columnar=True`` switches the whole data plane to typed ColumnBatches:
     the SQL executor runs vectorized kernels over columnar partitions,
-    stream sessions default to one ``C`` wire frame per channel, and ML
-    ingestion builds (X, y) arrays directly from the received batches
-    (an :class:`~repro.ml.dataset.ArrayDataset`).  Off by default — the
-    row/RowBlock wire format and the Figure 3/4 byte ledgers stay
-    bit-identical to the seed.  Row↔column adapters at every seam mean
+    the stream sender frames each channel's slice of the batch it is handed
+    as one ``C`` frame, and ML ingestion builds (X, y) arrays directly from
+    the received batches (an :class:`~repro.ml.dataset.ArrayDataset`).  Off
+    by default — rows travel as ``R`` frames and the Figure 3/4 byte
+    ledgers stay bit-identical to the seed.  Row↔column adapters at every seam mean
     unsupported expressions or UDFs fall back per-partition, never fail.
 
     ``fault_injector`` / ``recovery`` install the §6 fault-tolerance stack:
@@ -161,8 +165,7 @@ def make_deployment(
     :class:`~repro.transfer.admission.WorkerPoolScheduler` leasing the
     shared ML worker slots fairly across live sessions, a
     :class:`~repro.transfer.admission.SpillGovernor` isolating one tenant's
-    spill backpressure from everyone else's streams, and — on the socket
-    transport — mux channels sharing one socket pair per SQL worker.  The
+    spill backpressure from everyone else's streams.  The
     default (1, None, None) is the seed single-session behavior: none of
     the objects exist, no new ledger categories are emitted, and the
     fault-free Figure 3/4 byte totals stay bit-identical.
@@ -283,7 +286,6 @@ def make_deployment(
             standbys=ha_standbys,
             buffer_bytes=buffer_bytes,
             batch_rows=batch_rows,
-            columnar=columnar,
             transport=transport,
             recovery=recovery,
             fault_injector=fault_injector,
@@ -300,7 +302,6 @@ def make_deployment(
             cluster,
             buffer_bytes=buffer_bytes,
             batch_rows=batch_rows,
-            columnar=columnar,
             transport=transport,
             recovery=recovery,
             fault_injector=fault_injector,

@@ -70,10 +70,10 @@ def run_batch_rows_ablation(
     num_users: int = 600,
     num_carts: int = 6_000,
 ) -> list[BatchRow]:
-    """Sweep the RowBlock size of the transfer stack.
+    """Sweep the block size of the transfer stack.
 
-    ``batch_rows=1`` is the seed's per-row wire format; larger blocks move
-    the same rows with fewer lock acquisitions and pickle calls."""
+    ``batch_rows=1`` sends one-row frames; larger blocks move the same rows
+    with fewer lock acquisitions and frames."""
     out = []
     for batch in batch_sizes:
         deployment = make_deployment(
@@ -118,7 +118,7 @@ def report_batch_rows(rows: list[BatchRow]) -> str:
     ]
     return "\n".join(
         [
-            "Ablation A2 — RowBlock size (batch_rows=1 is the per-row seed path)",
+            "Ablation A2 — block size (batch_rows=1 is one-row frames)",
             format_table(
                 ["batch_rows", "streamed bytes", "spilled bytes", "wall", "rows/sec"],
                 table,

@@ -1,15 +1,14 @@
-"""Microbenchmark: raw stream-channel throughput, per-row vs RowBlock vs columnar.
+"""Microbenchmark: raw stream-channel throughput, one-row vs many-row vs columnar frames.
 
 One producer thread pushes rows through a single :class:`StreamChannel`
 while the caller drains it — the tightest loop the transfer stack has.
-``batch_rows=1`` pays one pickle call, one lock acquisition, and one ledger
-entry per row; larger blocks amortize all three across the batch.  The
-columnar mode sends the same rows as one typed ``C`` frame (a pickled
-numpy array per column) and drains whole frames — no per-row pickle on
-either end, and no rows pivot on the receive side.  This is the
-measurement behind both framing decisions: each successive format must
-beat the per-row seed path by a wide margin on wall clock while delivering
-the identical row sequence.
+``batch_rows=1`` pays one frame, one lock acquisition, and one ledger entry
+per row; larger blocks amortize all three across the batch.  The columnar
+mode sends the same rows as one typed ``C`` frame (a pickled numpy array
+per column) and drains whole frames — no per-row pickle on either end, and
+no rows pivot on the receive side.  This is the measurement behind both
+framing decisions: each must beat one-row frames by a wide margin on wall
+clock while delivering the identical row sequence.
 """
 
 import json
@@ -19,6 +18,7 @@ from time import perf_counter
 
 from repro.columnar.batch import ColumnBatch
 from repro.sql.types import DataType, Schema
+from repro.transfer.buffers import SpillableBuffer
 from repro.transfer.channel import ChannelId, StreamChannel
 
 MICRO_SCHEMA = Schema.of(
@@ -35,7 +35,7 @@ class MicroRow:
     wall_seconds: float
     rows_per_second: float
     rows: int
-    #: "rows" for per-row/RowBlock framing, "columnar" for ``C`` frames
+    #: "rows" for ``R`` frames, "columnar" for ``C`` frames
     mode: str = "rows"
 
 
@@ -53,16 +53,12 @@ def run_transfer_microbench(
     results = []
     for batch in batch_sizes:
         channel = StreamChannel(
-            ChannelId(0, 0), buffer_bytes=buffer_bytes, local=True
+            ChannelId(0, 0), SpillableBuffer(buffer_bytes), local=True
         )
 
         def produce(channel=channel, batch=batch):
-            if batch <= 1:
-                for row in rows:
-                    channel.send_row(row)
-            else:
-                for off in range(0, len(rows), batch):
-                    channel.send_many(rows[off : off + batch])
+            for off in range(0, len(rows), batch):
+                channel.send_many(rows[off : off + batch])
             channel.close()
 
         start = perf_counter()
@@ -98,11 +94,11 @@ def _run_columnar(rows: list[tuple], buffer_bytes: int) -> MicroRow:
     region, symmetric with the row modes' pre-built ``rows`` list — in the
     columnar plane the batch comes straight from the columnar scan, so the
     rows->batch pivot is not part of the transfer cost being measured."""
-    channel = StreamChannel(ChannelId(0, 0), buffer_bytes=buffer_bytes, local=True)
+    channel = StreamChannel(ChannelId(0, 0), SpillableBuffer(buffer_bytes), local=True)
     batch = ColumnBatch.from_rows(MICRO_SCHEMA, rows)
 
     def produce():
-        channel.send_col_batch(batch)
+        channel.send_many(batch)
         channel.close()
 
     start = perf_counter()
@@ -110,7 +106,7 @@ def _run_columnar(rows: list[tuple], buffer_bytes: int) -> MicroRow:
     producer.start()
     received = 0
     while True:
-        frame = channel.receive_frame()
+        frame = channel.receive_block()
         if frame is None:
             break
         received += len(frame)
@@ -136,7 +132,7 @@ def report(results: list[MicroRow]) -> str:
         label = "columnar" if r.mode == "columnar" else f"batch_rows={r.batch_rows}"
         lines.append(
             f"  {label:>16}  {r.wall_seconds * 1000:8.1f} ms"
-            f"  {r.rows_per_second:>12,.0f} rows/s  {speedup:5.2f}x vs per-row"
+            f"  {r.rows_per_second:>12,.0f} rows/s  {speedup:5.2f}x vs one-row frames"
         )
     return "\n".join(lines)
 

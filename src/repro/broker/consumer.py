@@ -1,29 +1,8 @@
 """Consumer client: offset-tracked, at-least-once reads of one partition."""
 
-import pickle
-import struct
-
 from repro.broker.broker import MessageBroker
-from repro.common.errors import RetriesExhaustedError, TransferError
+from repro.common.errors import FrameError, RetriesExhaustedError, TransferError
 from repro.transfer.buffers import block_logical_bytes, decode_block
-
-#: What wire corruption actually looks like when a frame fails to decode:
-#: a damaged pickle stream (UnpicklingError, or the EOF/Value/Key errors the
-#: pickle VM raises on truncated or bit-flipped input), a mangled
-#: length-prefix header (struct.error), or an inner TransferError from a
-#: frame whose marker byte no longer matches any framing.  Anything else —
-#: a TypeError from a decoder bug, say — is a defect and must propagate,
-#: not silently loop through the retained log.
-_CORRUPTION_ERRORS = (
-    pickle.UnpicklingError,
-    struct.error,
-    EOFError,
-    ValueError,
-    KeyError,
-    IndexError,
-    MemoryError,
-    TransferError,
-)
 
 
 class BrokerConsumer:
@@ -86,8 +65,7 @@ class BrokerConsumer:
     def poll(self) -> tuple[list[tuple], bool]:
         """Fetch the next batch; returns (rows, end_of_partition).
 
-        Each fetched record may be a RowBlock (one record, many rows) or a
-        seed-style single-row record; both decode transparently.
+        Each fetched record is one frame carrying one or many rows.
 
         With a session budget attached the fetch wait derives from its
         remaining time (and raises typed on an expired/cancelled session
@@ -125,7 +103,7 @@ class BrokerConsumer:
             payload = self._injector.corrupt_fetch(payload, f"{site}@{offset}")
         try:
             rows = decode_block(payload)
-        except _CORRUPTION_ERRORS as damage:
+        except FrameError as damage:
             if self._retry_budget is not None and not self._retry_budget.try_acquire():
                 raise RetriesExhaustedError(
                     f"refetch of corrupted record at {site}@{offset}: "

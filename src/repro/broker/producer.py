@@ -9,7 +9,7 @@ from repro.common.errors import (
     RetriesExhaustedError,
     TransferError,
 )
-from repro.transfer.buffers import block_logical_bytes, encode_block, encode_row
+from repro.transfer.buffers import block_logical_bytes, encode_block
 
 
 class BrokerProducer:
@@ -20,12 +20,11 @@ class BrokerProducer:
     same n-groups-of-k layout the §3 coordinator uses, so per-partition
     ordering reflects one worker's output order.
 
-    ``batch_rows > 1`` turns on RowBlock framing: rows accumulate per
-    partition and are appended as one block record per ``batch_rows`` rows
-    (partial batches flushed by :meth:`flush`/:meth:`close`).  Routing is
-    decided per row exactly as in the per-row path, so each partition
-    carries the same row sequence at any batch size.  ``batch_rows=1``
-    (the default) appends one record per row — the seed wire format.
+    Rows accumulate per partition and are appended as one frame record
+    per ``batch_rows`` rows (partial batches flushed by
+    :meth:`flush`/:meth:`close`).  Routing is decided per row, so each
+    partition carries the same row sequence at any batch size;
+    ``batch_rows=1`` (the default) appends one one-row frame per row.
     """
 
     def __init__(
@@ -112,20 +111,14 @@ class BrokerProducer:
         self._cursor += 1
         return partition
 
-    def send_row(self, row: tuple, key=None) -> int | None:
+    def send(self, row: tuple, key=None) -> int | None:
         """Produce one row; returns its record offset, or None when the row
-        was buffered into a not-yet-flushed RowBlock.
+        was buffered into a not-yet-flushed block.
 
         With ``key`` given, the partition is chosen by hash (per-key order);
         otherwise round-robin across this producer's partitions.
         """
         partition = self._route(key)
-        if self._batch_rows <= 1:
-            payload = encode_row(row)
-            offset = self._append(partition, payload, rows=1)
-            self.rows_sent += 1
-            self.bytes_sent += len(payload)
-            return offset
         batch = self._pending[partition]
         batch.append(row)
         self.rows_sent += 1
@@ -136,7 +129,7 @@ class BrokerProducer:
     def send_many(self, rows: Sequence[tuple]) -> None:
         """Produce a batch of rows (round-robin routed per row)."""
         for row in rows:
-            self.send_row(row)
+            self.send(row)
 
     def _flush_partition(self, partition: int) -> int | None:
         batch = self._pending[partition]
@@ -149,7 +142,7 @@ class BrokerProducer:
         return offset
 
     def flush(self) -> None:
-        """Append any partially filled RowBlocks (EOF flush)."""
+        """Append any partially filled blocks (EOF flush)."""
         for partition in self._partitions:
             self._flush_partition(partition)
 

@@ -6,8 +6,8 @@ same n-groups-of-k layout as the §3 coordinator's matchmaking), then seals
 them.  No coordinator is involved: the broker decouples the two systems in
 time, so the ML job may start before, during, or after the SQL side runs.
 
-``batch_rows`` (default 256) selects RowBlock framing: that many rows per
-broker record; 1 reproduces the seed's one-record-per-row wire format.
+``batch_rows`` (default 256) is the number of rows per broker record (one
+frame each); 1 appends one one-row frame per row.
 
 The topic must exist with n*k partitions (the pipeline creates it); k is
 derived from the partition count.
@@ -35,7 +35,7 @@ DEFAULT_BATCH_ROWS = 256
 
 class BrokerTransferUDF(TableUDF):
     """``TABLE(broker_transfer(input, topic [, batch_rows]))`` — produce rows
-    to the broker as RowBlocks."""
+    to the broker, ``batch_rows`` per record."""
 
     name = "broker_transfer"
 
@@ -71,8 +71,7 @@ class BrokerTransferUDF(TableUDF):
             clock=ctx.services.get("clock"),
         )
         try:
-            for row in rows:
-                producer.send_row(row)
+            producer.send_many(rows)
         finally:
             producer.close()
         yield (ctx.worker_id, producer.rows_sent, producer.bytes_sent)

@@ -126,6 +126,13 @@ class ChannelAbortedError(TransferError):
     abort, in place of the clean-``close()`` EOF ``None``."""
 
 
+class FrameError(TransferError):
+    """A wire frame failed validation: truncated, bit-flipped, or not a
+    frame at all.  The one error the frame decoder raises for any malformed
+    payload — a broker consumer refetches on it, everything else treats it
+    as the transfer failure it is."""
+
+
 class RetriesExhaustedError(TransferError):
     """A retry budget (send retries, partial restarts, replay fetches) ran
     out — *fatal* for the current strategy; callers fall back to the next

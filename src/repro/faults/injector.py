@@ -532,9 +532,9 @@ class FaultInjector:
         if self._rng(f"corrupt/{site}").random() < self.config.broker_corrupt_rate:
             if self._take_event_budget():
                 self._record("corrupt", site)
-                # Flip the trailing pickle STOP byte: every framing (per-row,
-                # block, sequenced block) ends in it, so every decode path
-                # rejects the result — corruption is always *detectable*.
+                # Flip the trailing pickle STOP byte: every frame body ends
+                # in it, so the decoder rejects the result — corruption is
+                # always *detectable*.
                 return payload[:-1] + bytes([payload[-1] ^ 0xFF])
         return payload
 

@@ -105,7 +105,7 @@ class RecoveryManager:
     """Executes retries and partial restarts on behalf of the coordinator.
 
     Installing one on a coordinator switches the streaming sender into the
-    resilient protocol (sequenced blocks, heartbeats, send retries, partial
+    resilient protocol (heartbeats, send retries, partial
     restart on worker death).  With a disabled injector and no real faults
     the resilient protocol is byte-for-byte ledger-invariant with the seed
     path — that invariance is asserted by the chaos tests.

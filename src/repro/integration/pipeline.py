@@ -26,7 +26,7 @@ from repro.ml.dataset import Dataset
 from repro.ml.system import MLJobResult, MLSystem
 from repro.rewriter.rewriter import QueryRewriter, RewritePlan
 from repro.sql.engine import BigSQL
-from repro.sql.executor import DistRelation
+from repro.sql.executor import DistRelation, partition_rows
 from repro.sql.types import Schema
 from repro.transfer.coordinator import Coordinator
 from repro.transfer.launcher import connect
@@ -764,7 +764,8 @@ class AnalyticsPipeline:
         dtypes = [c.dtype for c in relation.schema]
         total = 0
         worker_nodes = list(self.cluster.workers)
-        for worker_id, rows in enumerate(relation.partitions):
+        for worker_id, partition in enumerate(relation.partitions):
+            rows = partition_rows(partition)
             if not rows:
                 continue
             lines = [

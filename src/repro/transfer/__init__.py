@@ -13,10 +13,23 @@ The moving parts, matching Figure 2 of the paper:
    its location (the locality hint);
 4-6. ML readers register back, the coordinator *matchmakes* SQL-worker IPs
    with ML-worker splits and hands both sides their channel endpoints;
-7-8. rows flow over :class:`~repro.transfer.channel.StreamChannel` objects
-   with bounded buffers (paper default 4 KB) that *spill to local disk*
-   instead of blocking when the ML side is slow — round-robin across each
-   SQL worker's k channels.
+7-8. blocks flow over :class:`~repro.transfer.channel.StreamChannel` objects
+   with bounded buffers (paper default 4 KB) that *spill* instead of
+   blocking when the ML side is slow — round-robin across each SQL worker's
+   k channels.
+
+One frame, one channel, one send loop.  Every block — ``batch_rows`` rows
+(an ``R`` frame) or a ColumnBatch (a ``C`` frame), whichever the executor
+hands the UDF — crosses as one sequenced, length-checked frame
+(:func:`~repro.transfer.buffers.encode_block`); the same encoding sits in
+spill files and broker records.  The one channel class owns framing, byte
+accounting, replay dedup and close/abort/cancel, and moves frames through a
+byte *pipe*: :class:`~repro.transfer.buffers.SpillableBuffer`
+(``transport="memory"``) or one tag of the per-SQL-worker
+:class:`~repro.transfer.socket_channel.MuxSocketTransport`
+(``transport="socket"``).  The sender's one loop — plan ``(channel, seq,
+block)`` triples, send each — takes the §6 recovery wrapper (heartbeat,
+kill site, retry, partial restart) around that same send.
 
 The SQL output never touches the DFS, and the whole path is accounted under
 ``stream.*`` ledger categories.

@@ -14,27 +14,35 @@ import pickle
 import struct
 import threading
 from collections import deque
-from collections.abc import Sequence
 
+from repro.columnar.batch import ColumnBatch, ColumnVector
 from repro.common.errors import (
     ChannelAbortedError,
     ChannelTimeoutError,
+    FrameError,
     StorageFullError,
     TransferError,
 )
 from repro.sim.clock import WALL
+from repro.sql.types import DataType, Schema
 
 _LENGTH = struct.Struct(">I")
 
 
 class SpillableBuffer:
-    """FIFO byte-item buffer: bounded memory, unbounded accounted spill."""
+    """FIFO byte-item buffer: bounded memory, unbounded accounted spill.
+
+    The in-memory byte pipe of a
+    :class:`~repro.transfer.channel.StreamChannel`: ``put`` reports the
+    bytes it had to spill, ``get`` drains in FIFO order, and
+    ``close``/``abort``/``cancel``/``discard`` end the stream.
+    """
 
     def __init__(
         self,
         capacity_bytes: int,
         spill_path: str | None = None,
-        ledger=None,
+        ledger=None,  # CostLedger | None — counts stream.spill_enospc events
         governor=None,
         tenant: str = "default",
         budget=None,
@@ -49,7 +57,7 @@ class SpillableBuffer:
         # remaining time and a cancel wakes blocked readers immediately.
         self._budget = budget
         if budget is not None:
-            budget.on_cancel(self._wake_readers)
+            budget.on_cancel(self.cancel)
         # Multi-tenant backpressure isolation: outstanding spill bytes are
         # charged to a SpillGovernor per tenant; the *sender* consults it
         # (before put) so an over-budget tenant throttles itself while other
@@ -78,19 +86,23 @@ class SpillableBuffer:
 
     # ---------------------------------------------------------------- write
 
-    def put(self, item: bytes) -> None:
-        """Append an item; spills instead of blocking when memory is full."""
+    def put(self, item: bytes) -> int:
+        """Append an item; spills instead of blocking when memory is full.
+        Returns the bytes that had to spill (0 when the item fit)."""
         with self._lock:
             if self._closed:
                 raise TransferError("put() on a closed buffer")
             # FIFO across the boundary: once anything sits in spill, new
             # items must follow it there.
+            spilled = 0
             if self._spill_pending == 0 and self._memory_bytes + len(item) <= self._capacity:
                 self._memory.append(item)
                 self._memory_bytes += len(item)
             else:
                 self._spill(item)
+                spilled = len(item)
             self._readable.notify()
+            return spilled
 
     def close(self) -> None:
         """Signal end of stream; pending items remain readable."""
@@ -141,7 +153,8 @@ class SpillableBuffer:
 
     # ----------------------------------------------------------------- read
 
-    def _wake_readers(self) -> None:
+    def cancel(self) -> None:
+        """Wake blocked readers so they observe their cancelled budget."""
         with self._lock:
             self._readable.notify_all()
 
@@ -206,8 +219,6 @@ class SpillableBuffer:
 
     def _spill(self, item: bytes) -> None:
         self.spilled_bytes += len(item)
-        if self._ledger is not None:
-            self._ledger.add("stream.spilled", len(item))
         if self._governor is not None:
             self._governor.charge(self._tenant, len(item))
             self._governed += len(item)
@@ -277,96 +288,51 @@ class SpillableBuffer:
         return self._overflow.popleft()
 
 
-def encode_row(row: tuple) -> bytes:
-    """Serialize one row for the wire (length-accounted pickle)."""
-    return pickle.dumps(row, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def decode_row(payload: bytes) -> tuple:
-    """Inverse of :func:`encode_row`."""
-    return pickle.loads(payload)
+# --------------------------------------------------------------------------
+# The frame: the one wire encoding of channels, spill files and broker records
+# --------------------------------------------------------------------------
+
+ROWS = b"R"  # body: each row as a length-prefixed pickle
+COLUMNS = b"C"  # body: one pickle of a ColumnBatch's column arrays
+_HEADER = struct.Struct(">cQQI")  # kind, sequence number, logical bytes, body length
 
 
-_BLOCK_HEADER = struct.Struct(">Q")
-_PICKLE_MARKER = b"\x80"  # first byte of every protocol >= 2 pickle
-_BLOCK_MARKER = b"B"  # leading byte of a RowBlock frame (0x42)
-COLUMNAR_MARKER = b"C"  # leading byte of a columnar frame (0x43)
-
-
-def encode_block(rows: Sequence[tuple]) -> bytes:
-    """Serialize a RowBlock — a batch of rows moved as one frame.
+def encode_block(block, seq: int = 0) -> bytes:
+    """Serialize one block — a row sequence or a
+    :class:`~repro.columnar.batch.ColumnBatch` — as one frame.
 
     One block is one buffer/spill/socket/broker item, so the whole batch
     costs a single lock acquisition, frame header, and ledger entry instead
     of one per row.
 
-    Frame layout: ``B`` marker, an 8-byte header recording the block's
-    *logical* size (the bytes these rows would occupy in the seed's per-row
-    framing), then each row as a length-prefixed per-row pickle.  Because
-    the body reuses the per-row pickles verbatim, the logical size is the
-    sum of the body's row-frame lengths — one serialization pass computes
-    both (the seed encoder pickled every row twice: once for the header,
-    once inside a block-level list pickle).  All ledger byte accounting
-    charges the logical size, so the simulated cost of a transfer is
-    identical at every ``batch_rows`` setting — only real wall-clock
-    changes.
+    Frame layout: the kind byte (``R`` or ``C``), the block's per-channel
+    sequence number (the §6 replay-dedup handle: a restarted SQL worker
+    re-streams its partition with the same numbering and the receiver drops
+    every number it already accepted), the block's *logical* size, the body
+    length, then the body.  All ledger byte accounting charges the logical
+    size, so the simulated cost of a transfer is identical at every
+    ``batch_rows`` setting — only real wall-clock changes.  For a row block
+    it is the sum of the per-row pickle lengths, which the body reuses
+    verbatim — one serialization pass computes both.
     """
-    frames = [
-        pickle.dumps(row, protocol=pickle.HIGHEST_PROTOCOL) for row in rows
-    ]
+    if isinstance(block, ColumnBatch):
+        return encode_col_block(block, seq)
+    frames = [pickle.dumps(row, protocol=pickle.HIGHEST_PROTOCOL) for row in block]
     logical = sum(len(frame) for frame in frames)
     body = b"".join(_LENGTH.pack(len(frame)) + frame for frame in frames)
-    return _BLOCK_MARKER + _BLOCK_HEADER.pack(logical) + body
+    return _HEADER.pack(ROWS, seq, logical, len(body)) + body
 
 
-def _decode_row_frames(body: bytes) -> list[tuple]:
-    rows = []
-    offset, end = 0, len(body)
-    while offset < end:
-        (length,) = _LENGTH.unpack_from(body, offset)
-        offset += _LENGTH.size
-        rows.append(pickle.loads(body[offset : offset + length]))
-        offset += length
-    return rows
+def encode_col_block(batch: ColumnBatch, seq: int = 0) -> bytes:
+    """The ``C`` half of :func:`encode_block`.
 
-
-def decode_block(payload: bytes) -> list[tuple]:
-    """Inverse of :func:`encode_block`, returning a list of row tuples.
-
-    Accepts every framing on the wire and normalizes to rows:
-
-    * an :func:`encode_row` frame (bare pickle, leading 0x80) becomes a
-      one-row block — which is what lets ``batch_rows=1`` reproduce the
-      seed's per-row wire format exactly;
-    * a sequenced frame is unwrapped (sequence number discarded — use
-      :func:`split_seq_frame` when dedup matters);
-    * a columnar ``C`` frame is decoded and pivoted to rows, so row-oriented
-      receivers interoperate with columnar senders;
-    * a legacy headerless block frame (pre-``B`` layout: 8-byte header
-      followed by one list pickle) still decodes, recognized by its shape.
-    """
-    first = payload[:1]
-    if first == _PICKLE_MARKER:
-        return [pickle.loads(payload)]
-    if first == _SEQ_MARKER:
-        payload = payload[1 + _BLOCK_HEADER.size :]
-        first = payload[:1]
-    if first == _BLOCK_MARKER:
-        return _decode_row_frames(payload[1 + _BLOCK_HEADER.size :])
-    if first == COLUMNAR_MARKER:
-        return decode_col_block(payload).to_rows()
-    return pickle.loads(payload[_BLOCK_HEADER.size :])
-
-
-def encode_col_block(batch) -> bytes:
-    """Serialize a :class:`~repro.columnar.batch.ColumnBatch` as one frame.
-
-    Frame layout: ``C`` marker, 8-byte logical-size header (the batch's
-    seed-formula :meth:`logical_bytes`, so ledgers account columnar traffic
-    on the same scale as row traffic), then one pickle of the batch's
-    column arrays.  numpy arrays pickle as raw buffers, so the whole batch
-    costs a handful of memcpys instead of per-row pickling — this is where
-    the columnar wire path's speedup comes from.
+    The logical size is the batch's seed-formula :meth:`logical_bytes`, so
+    ledgers account columnar traffic on the same scale as row traffic.
+    numpy arrays pickle as raw buffers, so the whole batch costs a handful
+    of memcpys instead of per-row pickling — this is where the columnar
+    wire path's speedup comes from.
     """
     names = tuple(column.name for column in batch.schema)
     dtypes = tuple(column.dtype.value for column in batch.schema)
@@ -376,20 +342,61 @@ def encode_col_block(batch) -> bytes:
     body = pickle.dumps(
         (names, dtypes, batch.num_rows, columns), protocol=pickle.HIGHEST_PROTOCOL
     )
-    return COLUMNAR_MARKER + _BLOCK_HEADER.pack(batch.logical_bytes()) + body
+    return _HEADER.pack(COLUMNS, seq, batch.logical_bytes(), len(body)) + body
 
 
-def decode_col_block(payload: bytes):
-    """Inverse of :func:`encode_col_block` (accepts a sequenced wrapper)."""
-    from repro.columnar.batch import ColumnBatch, ColumnVector
-    from repro.sql.types import DataType, Schema
+def frame_header(payload: bytes) -> tuple[bytes, int, int]:
+    """``(kind, sequence number, logical bytes)`` of a frame, validated
+    against the payload's length — any strict prefix of a frame, and any
+    payload that is not a frame, raises :class:`FrameError`."""
+    if len(payload) < _HEADER.size:
+        raise FrameError(f"frame truncated inside its header ({len(payload)} bytes)")
+    kind, seq, logical, body_length = _HEADER.unpack_from(payload)
+    if kind not in (ROWS, COLUMNS):
+        raise FrameError(f"unknown frame kind {kind!r}")
+    if len(payload) - _HEADER.size != body_length:
+        raise FrameError(
+            f"frame body is {len(payload) - _HEADER.size} bytes, header says {body_length}"
+        )
+    return kind, seq, logical
 
-    if payload[:1] == _SEQ_MARKER:
-        payload = payload[1 + _BLOCK_HEADER.size :]
-    if payload[:1] != COLUMNAR_MARKER:
-        raise TransferError("not a columnar frame")
+
+def decode_block(payload: bytes):
+    """Inverse of :func:`encode_block`: the block in the representation it
+    was sent in — a list of row tuples or a ColumnBatch.  Raises
+    :class:`FrameError` for any malformed payload; never returns a prefix
+    of the rows."""
+    kind, _seq, logical = frame_header(payload)
+    try:
+        if kind == COLUMNS:
+            return _decode_columns(payload)
+        rows = []
+        offset, end = _HEADER.size, len(payload)
+        while offset < end:
+            (length,) = _LENGTH.unpack_from(payload, offset)
+            offset += _LENGTH.size + length
+            if offset > end:
+                raise FrameError("row frame overruns its block")
+            rows.append(pickle.loads(payload[offset - length : offset]))
+    except FrameError:
+        raise
+    except Exception as exc:  # pickle documents no closed set of errors
+        raise FrameError(f"frame body does not decode: {exc!r}") from exc
+    if end - _HEADER.size - _LENGTH.size * len(rows) != logical:
+        raise FrameError(f"rows do not total the header's {logical} logical bytes")
+    return rows
+
+
+def decode_col_block(payload: bytes) -> ColumnBatch:
+    """:func:`decode_block` for a frame that must be columnar."""
+    if frame_header(payload)[0] != COLUMNS:
+        raise FrameError("not a columnar frame")
+    return decode_block(payload)
+
+
+def _decode_columns(payload: bytes) -> ColumnBatch:
     names, dtypes, num_rows, columns = pickle.loads(
-        payload[1 + _BLOCK_HEADER.size :]
+        memoryview(payload)[_HEADER.size :]
     )
     schema = Schema.of(*((n, DataType(d)) for n, d in zip(names, dtypes)))
     vectors = [
@@ -399,66 +406,13 @@ def decode_col_block(payload: bytes):
     return ColumnBatch.from_columns(schema, vectors, num_rows)
 
 
-def is_columnar_frame(payload: bytes) -> bool:
-    """True when the (possibly sequenced) frame carries a ColumnBatch."""
-    if payload[:1] == _SEQ_MARKER:
-        payload = payload[1 + _BLOCK_HEADER.size :]
-    return payload[:1] == COLUMNAR_MARKER
-
-
-_SEQ_MARKER = b"S"  # leading byte of a sequenced frame (0x53)
-
-
-def encode_seq_block(rows: Sequence[tuple], seq: int) -> bytes:
-    """Serialize a *sequenced* RowBlock: a block frame prefixed with a
-    marker byte and an 8-byte sequence number.
-
-    Sequence numbers are the §6 replay-dedup handle: a restarted SQL worker
-    re-streams its partition from the beginning with the same per-channel
-    block numbering, and the receiver drops every frame whose number it has
-    already accepted, so each logical row crosses the ML boundary exactly
-    once.  The prefix is unambiguous against the other framings: per-row
-    frames start with the pickle protocol marker (0x80), block frames with
-    ``B`` (0x42), columnar frames with ``C`` (0x43), and legacy headerless
-    blocks with the high byte of their 8-byte logical size (0x00 for any
-    realistic block).
-    """
-    return _SEQ_MARKER + _BLOCK_HEADER.pack(seq) + encode_block(rows)
-
-
-def split_seq_frame(payload: bytes) -> tuple[int | None, bytes]:
-    """(sequence number, inner frame) of a sequenced frame; (None, payload)
-    for unsequenced per-row/block frames."""
-    if payload[:1] != _SEQ_MARKER:
-        return None, payload
-    (seq,) = _BLOCK_HEADER.unpack_from(payload, 1)
-    return seq, payload[1 + _BLOCK_HEADER.size :]
-
-
 def block_logical_bytes(payload: bytes) -> int:
-    """Accountable size of a frame: its rows' seed (per-row framing) bytes.
-
-    For a per-row frame that is simply ``len(payload)``; for a block frame
-    it is read from the header.  Ledgers charge this instead of the wire
-    length so byte accounting — and therefore simulated time — is invariant
-    under re-batching.
-
-    Block (``B``) and columnar (``C``) frames carry their logical size in
-    the 8-byte header after the marker.  Payloads that are none of the
-    framings (the broker stores opaque records) are charged at their wire
-    length; a legacy headerless block frame is recognized by its shape —
-    no leading pickle marker, but one right after the 8-byte header.
-    """
-    first = payload[:1]
-    if first == _PICKLE_MARKER:
+    """Accountable size of a stored record: a frame's logical bytes, read
+    from its header.  Ledgers charge this instead of the wire length so
+    byte accounting — and therefore simulated time — is invariant under
+    re-batching.  Payloads that are not frames (the broker stores opaque
+    records) are charged at their wire length."""
+    try:
+        return frame_header(payload)[2]
+    except FrameError:
         return len(payload)
-    if first == _SEQ_MARKER:
-        payload = payload[1 + _BLOCK_HEADER.size :]
-        first = payload[:1]
-    if first == _BLOCK_MARKER or first == COLUMNAR_MARKER:
-        (logical,) = _BLOCK_HEADER.unpack_from(payload, 1)
-        return logical
-    if len(payload) > _BLOCK_HEADER.size and payload[8:9] == _PICKLE_MARKER:
-        (logical,) = _BLOCK_HEADER.unpack_from(payload)
-        return logical
-    return len(payload)

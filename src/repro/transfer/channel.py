@@ -1,22 +1,17 @@
 """One SQL-worker -> ML-worker stream channel."""
 
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.cluster.cost import CostLedger
 from repro.transfer.buffers import (
     SpillableBuffer,
-    block_logical_bytes,
     decode_block,
-    decode_col_block,
     encode_block,
-    encode_col_block,
-    encode_row,
-    encode_seq_block,
-    is_columnar_frame,
-    split_seq_frame,
+    frame_header,
 )
+
+DEFAULT_BUFFER_BYTES = 4096  # the paper's send/receive buffer setting
 
 
 @dataclass(frozen=True)
@@ -30,29 +25,39 @@ class ChannelId:
         return f"sql{self.sql_worker_id}->ml{self.index}"
 
 
-class StreamChannel:
-    """A unidirectional row pipe with a bounded, spillable buffer.
+def _rows(block) -> list[tuple]:
+    return block if isinstance(block, list) else block.to_rows()
 
-    In the real system this is a TCP socket with a send buffer on the SQL
-    side and a receive buffer on the ML side; in-process we model the pair
-    as one :class:`SpillableBuffer` whose capacity plays both roles (the
-    paper sets both to the same 4 KB anyway).  ``local`` records whether
-    coordinator matchmaking managed to colocate the endpoints — remote
-    channels cost network bytes in the ledger, local ones do not.
+
+class StreamChannel:
+    """A unidirectional block pipe: the paper's bounded send/receive buffer
+    pair that spills instead of blocking.
+
+    The channel owns everything that is the same on every transport — frame
+    encoding, byte accounting (``stream.sent``/``net``/``retry``/``spilled``),
+    the tenant's governor throttle, §6 sequence dedup, pending rows — and
+    moves the frames through a byte *pipe*: a
+    :class:`~repro.transfer.buffers.SpillableBuffer` (the default, whose
+    capacity plays both buffer roles; the paper sets both to the same 4 KB
+    anyway) or one tag of a
+    :class:`~repro.transfer.socket_channel.MuxSocketTransport`.  A pipe has
+    ``put(frame) -> queued bytes``, ``get(timeout) -> frame | None``,
+    ``close``, ``abort(reason)``, ``cancel`` and ``discard``.
+
+    ``local`` records whether coordinator matchmaking managed to colocate
+    the endpoints — remote channels cost network bytes in the ledger, local
+    ones do not.
     """
 
     def __init__(
         self,
         channel_id: ChannelId,
-        buffer_bytes: int = 4096,
+        pipe=None,
         ledger: CostLedger | None = None,
-        spill_path: str | None = None,
         local: bool = False,
         governor=None,
         tenant: str = "default",
         budget=None,
-        clock=None,  # repro.sim.clock.Clock | None — buffer-wait timing
-        injector=None,  # FaultInjector | None — dfs.enospc at the spill site
     ):
         self.channel_id = channel_id
         self.local = local
@@ -61,182 +66,120 @@ class StreamChannel:
         # consult the tenant's SpillGovernor *before* enqueueing, so a tenant
         # whose spill is over budget pauses its own producers while every
         # other tenant's channels keep flowing.  governor=None (the default)
-        # is the seed path — zero extra work per send.
+        # is zero extra work per send.
         self._governor = governor
         self._tenant = tenant
-        # Per-session Budget: receive waits derive from its remaining time
-        # (via the buffer) and governor pauses observe its cancel flag.
-        self._budget = budget
-        self._buffer = SpillableBuffer(
-            capacity_bytes=buffer_bytes,
-            spill_path=spill_path,
-            ledger=ledger,
-            governor=governor,
-            tenant=tenant,
-            budget=budget,
-            clock=clock,
-            injector=injector,
-        )
+        self._budget = budget  # governor pauses observe its cancel flag
+        self._pipe = pipe if pipe is not None else SpillableBuffer(DEFAULT_BUFFER_BYTES)
         self.rows_sent = 0
         self.bytes_sent = 0
         self.rows_received = 0
         self.bytes_received = 0
+        #: bytes the pipe had to queue past its buffer (backpressure events)
+        self.spilled_bytes = 0
         #: §6 replay traffic: bytes re-sent by a restarted SQL worker
         #: (charged to ``stream.retry``, never to ``stream.sent``).
         self.retry_bytes = 0
         #: §6 dedup on the ML side: replayed blocks dropped by sequence number
         self.duplicate_blocks = 0
         self.duplicate_bytes = 0
+        self._next_seq = 0  # sequence number of the next unnumbered send
         self._last_seq = -1  # highest accepted block sequence number
         self._pending: deque[tuple] = deque()  # rows decoded but not yet read
 
     # ------------------------------------------------------------ SQL side
 
-    def send_row(self, row: tuple) -> None:
-        """Serialize and enqueue one row (the seed's per-row wire format)."""
-        payload = encode_row(row)
-        if self._governor is not None:
-            self._governor.throttle(self._tenant, budget=self._budget)
-        self._buffer.put(payload)
-        self.rows_sent += 1
-        self._account_sent(len(payload))
+    def send_many(self, block, seq: int | None = None, retry: bool = False) -> None:
+        """Frame and enqueue one block — a row sequence or a ColumnBatch:
+        one pipe item, one lock acquisition, one ledger entry for the whole
+        batch, accounted at the block's logical size.
 
-    def send_many(self, rows: Sequence[tuple]) -> None:
-        """Serialize and enqueue a RowBlock: one buffer item, one lock
-        acquisition, one ledger entry for the whole batch.  Accounted at
-        the block's logical (per-row framing) size, keeping byte totals
-        identical to the seed path."""
-        if not rows:
-            return
-        payload = encode_block(rows)
-        if self._governor is not None:
-            self._governor.throttle(self._tenant, budget=self._budget)
-        self._buffer.put(payload)
-        self.rows_sent += len(rows)
-        self._account_sent(block_logical_bytes(payload))
-
-    def send_col_batch(self, batch) -> None:
-        """Serialize and enqueue a :class:`ColumnBatch` as one columnar
-        (``C``) frame.  Accounted at the batch's logical (seed per-row
-        formula) size, so ledgers stay on the row-path scale while the wire
-        carries pickled numpy arrays instead of per-row pickles."""
-        if not len(batch):
-            return
-        payload = encode_col_block(batch)
-        if self._governor is not None:
-            self._governor.throttle(self._tenant, budget=self._budget)
-        self._buffer.put(payload)
-        self.rows_sent += len(batch)
-        self._account_sent(block_logical_bytes(payload))
-
-    def send_block(self, rows: Sequence[tuple], seq: int, retry: bool = False) -> None:
-        """Enqueue a *sequenced* RowBlock (the §6 resilient send path).
-
-        ``seq`` is this channel's per-epoch block number; the receiver drops
-        any frame whose number it already accepted, so a restarted worker can
-        replay its partition from block 0 without double delivery.  ``retry``
-        marks a restart epoch's traffic: its bytes land in the separate
-        ``stream.retry`` ledger counter, keeping the fault-free ``stream.sent``
-        and ``stream.net`` totals byte-for-byte invariant.
+        ``seq`` is this channel's block number (default: the next one); the
+        receiver drops any frame whose number it already accepted, so a
+        restarted worker can replay its partition from block 0 without
+        double delivery.  ``retry`` marks a restart epoch's traffic: its
+        bytes land in the separate ``stream.retry`` ledger counter, keeping
+        the fault-free ``stream.sent`` and ``stream.net`` totals invariant.
         """
-        if not rows:
+        if not len(block):
             return
-        payload = encode_seq_block(rows, seq)
+        if seq is None:
+            seq = self._next_seq
+        self._next_seq = seq + 1
+        payload = encode_block(block, seq)
         if self._governor is not None:
             self._governor.throttle(self._tenant, budget=self._budget)
-        self._buffer.put(payload)
-        logical = block_logical_bytes(payload)
+        spilled = self._pipe.put(payload)
+        _kind, _seq, logical = frame_header(payload)
+        ledger = self._ledger
+        if spilled:
+            self.spilled_bytes += spilled
+            if ledger is not None:
+                ledger.add("stream.spilled", spilled)
         if retry:
             self.retry_bytes += logical
-            if self._ledger is not None:
-                self._ledger.add("stream.retry", logical)
-        else:
-            self.rows_sent += len(rows)
-            self._account_sent(logical)
-
-    def _account_sent(self, nbytes: int) -> None:
-        self.bytes_sent += nbytes
-        if self._ledger is not None:
-            self._ledger.add("stream.sent", nbytes)
+            if ledger is not None:
+                ledger.add("stream.retry", logical)
+            return
+        self.rows_sent += len(block)
+        self.bytes_sent += logical
+        if ledger is not None:
+            ledger.add("stream.sent", logical)
             if not self.local:
-                self._ledger.add("stream.net", nbytes)
+                ledger.add("stream.net", logical)
 
     def close(self) -> None:
-        """End of stream from the sender."""
-        self._buffer.close()
+        """End of stream from the sender (flushes what the pipe queued)."""
+        self._pipe.close()
 
     def abort(self, reason: str = "producer failed") -> None:
         """Fatal end of stream: the producer died mid-send, so receivers
         must get a typed :class:`ChannelAbortedError`, never the clean EOF
-        that would pass off the delivered prefix as a complete dataset."""
-        self._buffer.abort(reason)
+        that would pass off the delivered prefix as a complete dataset.
+        Sticky over a later :meth:`close`."""
+        self._pipe.abort(reason)
+
+    def cancel(self) -> None:
+        """Tell the receiving end its session was cancelled
+        (``cancel_session`` fans this out over every channel)."""
+        self._pipe.cancel()
 
     def release(self) -> None:
         """Free transfer resources at session teardown: pending rows are
-        dropped and any leftover spill file is deleted (``close_session``
-        calls this so finished *and* failed sessions leave no spill files)."""
-        self._buffer.discard()
+        dropped and anything the pipe still holds (spill file, queued
+        frames) is discarded without a blocking flush (``close_session``
+        calls this so finished *and* failed sessions leave nothing behind)."""
+        self._pipe.discard()
         self._pending.clear()
 
     # ------------------------------------------------------------- ML side
 
-    def receive_block(self, timeout: float | None = 30.0) -> list[tuple] | None:
-        """Next RowBlock (possibly a one-row block from a per-row sender),
-        or None at end of stream.
+    def receive_block(self, timeout: float | None = 30.0):
+        """Next block in the representation it was sent in — a row list or
+        a ColumnBatch — or None at end of stream.
 
-        Sequenced frames are deduplicated here: a frame whose sequence
-        number was already accepted is a §6 replay duplicate — dropped and
-        counted, never delivered, so the ML side sees each row exactly once.
+        A frame whose sequence number was already accepted is a §6 replay
+        duplicate — dropped and counted, never delivered, so the ML side
+        sees each row exactly once.
         """
         if self._pending:
             rows = list(self._pending)
             self._pending.clear()
             return rows
         while True:
-            payload = self._buffer.get(timeout=timeout)
+            payload = self._pipe.get(timeout=timeout)
             if payload is None:
                 return None
-            seq, frame = split_seq_frame(payload)
-            if seq is not None:
-                if seq <= self._last_seq:
-                    self.duplicate_blocks += 1
-                    self.duplicate_bytes += block_logical_bytes(frame)
-                    continue
-                self._last_seq = seq
-            rows = decode_block(frame)
-            self.rows_received += len(rows)
-            self.bytes_received += block_logical_bytes(frame)
-            return rows
-
-    def receive_frame(self, timeout: float | None = 30.0):
-        """Next frame in its native representation: a
-        :class:`~repro.columnar.batch.ColumnBatch` for columnar frames, a
-        row list otherwise, or None at end of stream.  Same dedup and
-        counting as :meth:`receive_block` — columnar-aware receivers use
-        this to skip the rows pivot entirely."""
-        if self._pending:
-            rows = list(self._pending)
-            self._pending.clear()
-            return rows
-        while True:
-            payload = self._buffer.get(timeout=timeout)
-            if payload is None:
-                return None
-            seq, frame = split_seq_frame(payload)
-            if seq is not None:
-                if seq <= self._last_seq:
-                    self.duplicate_blocks += 1
-                    self.duplicate_bytes += block_logical_bytes(frame)
-                    continue
-                self._last_seq = seq
-            out = (
-                decode_col_block(frame)
-                if is_columnar_frame(frame)
-                else decode_block(frame)
-            )
-            self.rows_received += len(out)
-            self.bytes_received += block_logical_bytes(frame)
-            return out
+            _kind, seq, logical = frame_header(payload)
+            if seq <= self._last_seq:
+                self.duplicate_blocks += 1
+                self.duplicate_bytes += logical
+                continue
+            self._last_seq = seq
+            block = decode_block(payload)
+            self.rows_received += len(block)
+            self.bytes_received += logical
+            return block
 
     def receive(self, timeout: float | None = 30.0) -> tuple | None:
         """Next row, or None at end of stream."""
@@ -244,7 +187,7 @@ class StreamChannel:
             block = self.receive_block(timeout=timeout)
             if block is None:
                 return None
-            self._pending.extend(block)
+            self._pending.extend(_rows(block))
         return self._pending.popleft()
 
     def __iter__(self):
@@ -252,9 +195,4 @@ class StreamChannel:
             block = self.receive_block()
             if block is None:
                 return
-            yield from block
-
-    @property
-    def spilled_bytes(self) -> int:
-        """Bytes that overflowed to the spill region (backpressure events)."""
-        return self._buffer.spilled_bytes
+            yield from _rows(block)

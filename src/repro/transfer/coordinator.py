@@ -23,18 +23,12 @@ from repro.common.errors import (
 )
 from repro.runtime.budget import Budget
 from repro.sim.clock import WALL
-from repro.transfer.channel import ChannelId, StreamChannel
+from repro.transfer.buffers import SpillableBuffer
+from repro.transfer.channel import DEFAULT_BUFFER_BYTES, ChannelId, StreamChannel
+from repro.transfer.socket_channel import MuxPipe, MuxSocketTransport
 
-DEFAULT_BUFFER_BYTES = 4096  # the paper's send/receive buffer setting
-DEFAULT_BATCH_ROWS = 256  # rows per RowBlock frame; 1 = seed's per-row wire
+DEFAULT_BATCH_ROWS = 256  # rows per frame of a row stream
 DEFAULT_TIMEOUT_S = 30.0
-
-
-def _as_bool(value) -> bool:
-    """Conf-prop boolean: accepts real bools and the usual string spellings."""
-    if isinstance(value, str):
-        return value.strip().lower() in ("1", "true", "yes", "on")
-    return bool(value)
 
 
 @dataclass
@@ -57,8 +51,6 @@ class StreamSession:
     tenant: str = "default"
     buffer_bytes: int = DEFAULT_BUFFER_BYTES
     batch_rows: int = DEFAULT_BATCH_ROWS
-    #: ship ColumnBatch (``C``) frames instead of RowBlocks; off = seed wire
-    columnar: bool = False
     spill_dir: str | None = None
     expected_sql_workers: int | None = None
     sql_workers: dict[int, SqlWorkerInfo] = field(default_factory=dict)
@@ -104,7 +96,6 @@ class Coordinator:
         default_k: int = 6,
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
         batch_rows: int = DEFAULT_BATCH_ROWS,
-        columnar: bool = False,
         spill_dir: str | None = None,
         timeout_s: float = DEFAULT_TIMEOUT_S,
         transport: str = "memory",
@@ -130,7 +121,6 @@ class Coordinator:
         self.default_k = default_k
         self.buffer_bytes = buffer_bytes
         self.batch_rows = batch_rows
-        self.columnar = bool(columnar)
         self.spill_dir = spill_dir
         self.timeout_s = timeout_s
         self.transport = transport
@@ -145,8 +135,8 @@ class Coordinator:
         self.fault_injector = fault_injector or (
             getattr(recovery, "injector", None) if recovery is not None else None
         )
-        #: §6 recovery driver; when set, streaming senders take the resilient
-        #: protocol (sequenced blocks, heartbeats, retries, partial restart).
+        #: §6 recovery driver; when set, streaming senders wrap every block
+        #: send in the resilient protocol (heartbeats, retries, partial restart).
         self.recovery = recovery
         self.coordinator_id = coordinator_id
         #: False once this replica crashed (it stops serving immediately)
@@ -168,9 +158,9 @@ class Coordinator:
         #: per-session deadline applied when create_session names none
         self.retry_budget = retry_budget
         self.default_deadline_s = default_deadline_s
-        #: one shared mux socket pair per SQL worker (multi-tenant socket
-        #: transport only); sessions' channels ride it as tagged streams
-        self._mux_transports: dict[int, Any] = {}
+        #: one shared mux socket pair per SQL worker (socket transport
+        #: only); sessions' channels ride it as tagged streams
+        self._mux_transports: dict[int, MuxSocketTransport] = {}
         self._monitor = None  # LivenessMonitor | None
         self._sessions: dict[str, StreamSession] = {}
         #: session_id -> cancel reason for recently cancelled sessions, so a
@@ -251,7 +241,6 @@ class Coordinator:
                 tenant=settings.get("tenant", "default"),
                 buffer_bytes=int(settings.get("buffer_bytes", self.buffer_bytes)),
                 batch_rows=int(settings.get("batch_rows", self.batch_rows)),
-                columnar=_as_bool(settings.get("columnar", self.columnar)),
                 spill_dir=settings.get("spill_dir", self.spill_dir),
             )
             # Restore the end-to-end budget from its journaled wall-clock
@@ -357,7 +346,6 @@ class Coordinator:
         conf_props: dict | None = None,
         buffer_bytes: int | None = None,
         batch_rows: int | None = None,
-        columnar: bool | None = None,
         spill_dir: str | None = None,
         exists_ok: bool = False,
         tenant: str = "default",
@@ -392,8 +380,6 @@ class Coordinator:
             batch_rows = int(props.get("stream.batch_rows", self.batch_rows))
         if batch_rows < 1:
             raise TransferError(f"batch_rows must be >= 1, got {batch_rows}")
-        if columnar is None:
-            columnar = _as_bool(props.get("stream.columnar", self.columnar))
         if deadline_s is None:
             raw = props.get("stream.deadline_s")
             deadline_s = float(raw) if raw is not None else self.default_deadline_s
@@ -424,7 +410,6 @@ class Coordinator:
                     tenant=tenant,
                     buffer_bytes=buffer_bytes or self.buffer_bytes,
                     batch_rows=batch_rows,
-                    columnar=bool(columnar),
                     spill_dir=spill_dir if spill_dir is not None else self.spill_dir,
                     budget=budget,
                 )
@@ -443,7 +428,6 @@ class Coordinator:
             settings = {
                 "buffer_bytes": session.buffer_bytes,
                 "batch_rows": session.batch_rows,
-                "columnar": session.columnar,
                 "spill_dir": session.spill_dir,
             }
             # Journaled only when multi-tenancy is in play, so single-tenant
@@ -544,15 +528,10 @@ class Coordinator:
             return False
         budget = session.budget
         first = budget.cancel(reason) if budget is not None else False
-        # Tell remote receivers over the shared mux wire (in-process and
-        # plain-socket channels are woken by the budget callbacks instead).
+        # Tell the receivers: a CANCEL control frame on the socket
+        # transport, a reader wake-up on the memory one.
         for channel in list(session.channels.values()):
-            cancel = getattr(channel, "cancel", None)
-            if cancel is not None:
-                try:
-                    cancel()
-                except TransferError:
-                    pass  # a torn-down wire just means nobody is listening
+            channel.cancel()
         with self._lock:
             if session.error is None and session.result is None:
                 session.error = SessionCancelled(
@@ -710,50 +689,35 @@ class Coordinator:
                         else None
                     )
                     local = self._ml_slot_is_local(session, worker_id, index)
-                    if self.transport == "socket" and self.admission is not None:
-                        # Multi-tenant socket transport: all sessions share
-                        # one mux pair per SQL worker; each channel is a tag.
-                        from repro.transfer.socket_channel import MuxSocketChannel
-
-                        session.channels[cid] = MuxSocketChannel(
-                            cid,
+                    if self.transport == "socket":
+                        # All sessions share one mux pair per SQL worker;
+                        # each channel is a tag on it.
+                        pipe = MuxPipe(
                             self._mux_transport_for(worker_id, session),
-                            ledger=self.cluster.ledger,
-                            local=local,
-                            governor=self.spill_governor,
-                            tenant=session.tenant,
-                            receive_timeout_s=self.timeout_s,
-                            budget=session.budget,
-                            clock=self.clock,
-                        )
-                    elif self.transport == "socket":
-                        from repro.transfer.socket_channel import SocketStreamChannel
-
-                        session.channels[cid] = SocketStreamChannel(
-                            cid,
-                            buffer_bytes=session.buffer_bytes,
-                            ledger=self.cluster.ledger,
-                            local=local,
-                            receive_timeout_s=self.timeout_s,
-                            send_timeout_s=self.timeout_s,
                             governor=self.spill_governor,
                             tenant=session.tenant,
                             budget=session.budget,
-                            clock=self.clock,
                         )
                     else:
-                        session.channels[cid] = StreamChannel(
-                            cid,
-                            buffer_bytes=session.buffer_bytes,
-                            ledger=self.cluster.ledger,
+                        pipe = SpillableBuffer(
+                            capacity_bytes=session.buffer_bytes,
                             spill_path=spill_path,
-                            local=local,
+                            ledger=self.cluster.ledger,
                             governor=self.spill_governor,
                             tenant=session.tenant,
                             budget=session.budget,
                             clock=self.clock,
                             injector=self.fault_injector,
                         )
+                    session.channels[cid] = StreamChannel(
+                        cid,
+                        pipe,
+                        ledger=self.cluster.ledger,
+                        local=local,
+                        governor=self.spill_governor,
+                        tenant=session.tenant,
+                        budget=session.budget,
+                    )
                     group.append(cid)
                     channel_ids.append(cid)
                     index += 1
@@ -770,11 +734,8 @@ class Coordinator:
         Caller holds ``self._lock`` (split planning)."""
         transport = self._mux_transports.get(sql_worker_id)
         if transport is None:
-            from repro.transfer.socket_channel import MuxSocketTransport
-
             transport = MuxSocketTransport(
                 buffer_bytes=session.buffer_bytes,
-                receive_timeout_s=self.timeout_s,
                 send_timeout_s=self.timeout_s,
                 clock=self.clock,
             )

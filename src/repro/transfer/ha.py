@@ -100,7 +100,6 @@ class CoordinatorHAGroup:
         default_k: int = 6,
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
         batch_rows: int = DEFAULT_BATCH_ROWS,
-        columnar: bool = False,
         spill_dir: str | None = None,
         timeout_s: float = DEFAULT_TIMEOUT_S,
         transport: str = "memory",
@@ -140,7 +139,6 @@ class CoordinatorHAGroup:
         self.default_k = default_k
         self.buffer_bytes = buffer_bytes
         self.batch_rows = batch_rows
-        self.columnar = columnar
         self.spill_dir = spill_dir
         self.timeout_s = timeout_s
         self.transport = transport
@@ -163,7 +161,6 @@ class CoordinatorHAGroup:
                 default_k=default_k,
                 buffer_bytes=buffer_bytes,
                 batch_rows=batch_rows,
-                columnar=columnar,
                 spill_dir=spill_dir,
                 timeout_s=timeout_s,
                 transport=transport,
@@ -464,10 +461,6 @@ class FailoverCoordinator:
     @property
     def batch_rows(self) -> int:
         return self._group.batch_rows
-
-    @property
-    def columnar(self) -> bool:
-        return self._group.columnar
 
     @property
     def buffer_bytes(self) -> int:

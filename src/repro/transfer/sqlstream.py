@@ -13,7 +13,6 @@ Required job configuration: ``stream.session`` property and a
 
 from dataclasses import dataclass
 
-from repro.common.errors import TransferError
 from repro.iofmt.inputformat import InputFormat, InputSplit, JobConf, RecordReader
 from repro.transfer.channel import ChannelId, StreamChannel
 from repro.transfer.coordinator import Coordinator
@@ -37,11 +36,9 @@ class StreamSplit(InputSplit):
 class StreamRecordReader(RecordReader):
     """Drains one channel until EOF; exposes ``bytes_read`` for accounting.
 
-    With ``frames=True`` (set by the input format for columnar sessions)
-    each received columnar frame is yielded *intact* as one ColumnBatch
-    record instead of being pivoted back into rows — the ingestion side
-    decides what to do with it.  Row frames still yield per-row either way,
-    so mixed streams are fine.
+    Records arrive in the representation the sender framed: a row frame
+    yields its rows one by one, a columnar frame is yielded *intact* as one
+    ColumnBatch record — the ingestion side decides what to do with it.
     """
 
     def __init__(
@@ -49,13 +46,11 @@ class StreamRecordReader(RecordReader):
         channel: StreamChannel,
         timeout_s: float,
         injector=None,
-        frames: bool = False,
         session_id: str = "",
     ):
         self._channel = channel
         self._timeout_s = timeout_s
         self._injector = injector  # FaultInjector | None (§6 ML-side chaos)
-        self._frames = frames
         self._session_id = session_id  # kill-site scope (per-session one-shot)
         self.bytes_read = 0
         self.rows_read = 0
@@ -74,12 +69,9 @@ class StreamRecordReader(RecordReader):
     def __iter__(self):
         # Drain whole frames: one receive (one lock acquisition / frame
         # decode) per block, regardless of how many rows it carries.
-        receive = (
-            self._channel.receive_frame if self._frames else self._channel.receive_block
-        )
         while True:
             before = self._channel.bytes_received
-            block = receive(timeout=self._timeout_s)
+            block = self._channel.receive_block(timeout=self._timeout_s)
             if block is None:
                 return
             self.bytes_read += self._channel.bytes_received - before
@@ -133,14 +125,6 @@ class SQLStreamInputFormat(InputFormat):
         timeout_s = float(conf.get("stream.timeout_s", coordinator.timeout_s))
         recovery = coordinator.recovery
         injector = recovery.injector if recovery is not None else None
-        try:
-            frames = coordinator.session(split.session_id).columnar
-        except TransferError:
-            frames = False
         return StreamRecordReader(
-            channel,
-            timeout_s,
-            injector=injector,
-            frames=frames,
-            session_id=split.session_id,
+            channel, timeout_s, injector=injector, session_id=split.session_id
         )

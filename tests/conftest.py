@@ -7,6 +7,7 @@ from repro.cluster.cluster import make_paper_cluster
 from repro.hdfs.filesystem import DistributedFileSystem
 from repro.sql.engine import BigSQL
 from repro.sql.types import DataType, Schema
+from repro.transfer.socket_channel import MuxPipe, MuxSocketTransport
 
 
 @pytest.fixture()
@@ -74,3 +75,18 @@ def users_carts(engine):
 def deployment() -> Deployment:
     """A fully wired deployment (engine + ML + coordinator + pipeline)."""
     return make_deployment(block_size=64 * 1024)
+
+
+@pytest.fixture()
+def socket_pipe():
+    """Factory of socket byte pipes — ``socket_pipe(buffer_bytes, budget=None)``
+    is one tag of a fresh mux transport, closed at teardown."""
+    transports = []
+
+    def make(buffer_bytes: int, budget=None) -> MuxPipe:
+        transports.append(MuxSocketTransport(buffer_bytes=buffer_bytes))
+        return MuxPipe(transports[-1], budget=budget)
+
+    yield make
+    for transport in transports:
+        transport.close()

@@ -148,7 +148,7 @@ class TestProducerConsumer:
         producer = BrokerProducer(broker, "t")
         rows = [(i, f"v{i}") for i in range(30)]
         for row in rows:
-            producer.send_row(row)
+            producer.send(row)
         producer.close()
         received = []
         for partition in range(3):
@@ -162,7 +162,7 @@ class TestProducerConsumer:
         broker.create_topic("t", 4)
         producer = BrokerProducer(broker, "t")
         for i in range(40):
-            producer.send_row(("k%d" % (i % 5), i), key=i % 5)
+            producer.send(("k%d" % (i % 5), i), key=i % 5)
         producer.close()
         per_key: dict = {}
         for partition in range(4):
@@ -175,7 +175,7 @@ class TestProducerConsumer:
         broker.create_topic("t", 4)
         producer = BrokerProducer(broker, "t", partitions=[1, 2])
         for i in range(10):
-            producer.send_row((i,))
+            producer.send((i,))
         producer.close()
         assert broker.topic_info("t").total_records == 10
         # only the producer's partitions hold data (and were sealed)
@@ -194,7 +194,7 @@ class TestProducerConsumer:
         broker.create_topic("t", 1)
         producer = BrokerProducer(broker, "t")
         for i in range(10):
-            producer.send_row((i,))
+            producer.send((i,))
         producer.close()
 
         # First consumer processes 6 records but only commits after 4.
@@ -214,7 +214,7 @@ class TestProducerConsumer:
     def test_independent_groups(self, broker):
         broker.create_topic("t", 1)
         producer = BrokerProducer(broker, "t")
-        producer.send_row(("only",))
+        producer.send(("only",))
         producer.close()
         assert list(BrokerConsumer(broker, "t", 0, group="a")) == [("only",)]
         assert list(BrokerConsumer(broker, "t", 0, group="b")) == [("only",)]
@@ -229,7 +229,7 @@ class TestProducerConsumer:
         broker.create_topic("t", partitions)
         producer = BrokerProducer(broker, "t")
         for row in rows:
-            producer.send_row(row)
+            producer.send(row)
         producer.close()
         received = []
         for partition in range(partitions):

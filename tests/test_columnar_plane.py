@@ -27,8 +27,8 @@ from repro.transfer.buffers import (
     block_logical_bytes,
     decode_block,
     decode_col_block,
+    encode_block,
     encode_col_block,
-    is_columnar_frame,
 )
 from repro.transfer.channel import ChannelId, StreamChannel
 from repro.workloads import generate_retail
@@ -82,13 +82,12 @@ def test_wire_frame_round_trip(data):
     schema, rows = data
     batch = ColumnBatch.from_rows(schema, rows)
     payload = encode_col_block(batch)
-    assert is_columnar_frame(payload)
     decoded = decode_col_block(payload)
     assert decoded.to_rows() == rows
     assert [c.dtype for c in decoded.columns] == [c.dtype for c in batch.columns]
-    # legacy receivers see the same rows: decode_block normalizes C frames
-    assert decode_block(payload) == rows
-    # and the 8-byte logical header carries the seed's per-row byte formula
+    # the one decoder returns the batch as a batch, whichever encoder made it
+    assert decode_block(encode_block(batch)).to_rows() == rows
+    # and the logical-bytes header carries the seed's per-row byte formula
     assert block_logical_bytes(payload) == batch.logical_bytes()
 
 
@@ -145,13 +144,13 @@ def test_channel_carries_batches_and_rows_interchangeably():
     rows = [(i, f"w{i % 3}") for i in range(10)]
     batch = ColumnBatch.from_rows(schema, rows)
 
-    channel = StreamChannel(ChannelId(0, 0), buffer_bytes=64, local=True)
-    channel.send_col_batch(batch)
+    channel = StreamChannel(ChannelId(0, 0), local=True)
+    channel.send_many(batch)
     channel.send_many(rows[:2])
     channel.close()
     frames = []
     while True:
-        frame = channel.receive_frame(timeout=5.0)
+        frame = channel.receive_block(timeout=5.0)
         if frame is None:
             break
         frames.append(frame)
@@ -160,11 +159,11 @@ def test_channel_carries_batches_and_rows_interchangeably():
     assert frames[1] == rows[:2]  # row frames stay row lists
     assert channel.rows_received == 12
 
-    # a columnar frame drained through the legacy row API still yields rows
-    channel = StreamChannel(ChannelId(0, 1), buffer_bytes=64, local=True)
-    channel.send_col_batch(batch)
+    # a columnar frame drained through the row API still yields rows
+    channel = StreamChannel(ChannelId(0, 1), local=True)
+    channel.send_many(batch)
     channel.close()
-    assert channel.receive_block(timeout=5.0) == rows
+    assert list(channel) == rows
 
 
 # --------------------------------------------------------------- ArrayDataset

@@ -181,7 +181,7 @@ class TestJournalTakeover:
         proxy.register_sql_worker("s", 0, "10.0.0.2", 1)
         cids = proxy.plan_input_splits("s", 2)
         senders = proxy.sql_worker_channels("s", 0)
-        senders[0].send_row((1, 2.0))
+        senders[0].send_many([(1, 2.0)])
         group.kill_leader()
         # The split plan survived via the journal; the channel *objects* —
         # holding the un-drained row — survived via the registry.

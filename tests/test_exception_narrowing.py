@@ -7,8 +7,6 @@ and assert it now surfaces; then confirm the *typed* failure the handler
 exists for still takes the graceful path.
 """
 
-import pickle
-
 import pytest
 
 from repro import make_deployment
@@ -103,7 +101,7 @@ class TestConsumerNarrowing:
         broker.create_topic("t", 1)
         producer = BrokerProducer(broker, "t")
         for i in range(10):
-            producer.send_row((i, f"v{i}"))
+            producer.send((i, f"v{i}"))
         producer.close()
         return broker
 
@@ -129,8 +127,8 @@ class TestConsumerNarrowing:
         failures = iter([True])
 
         def flaky_decode(payload):
-            if next(failures, False):
-                raise pickle.UnpicklingError("bit flip")
+            if next(failures, False):  # a bit flip: the decoder's FrameError
+                payload = payload[:-1] + bytes([payload[-1] ^ 0xFF])
             return real_decode(payload)
 
         monkeypatch.setattr(consumer_module, "decode_block", flaky_decode)

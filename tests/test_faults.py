@@ -14,8 +14,10 @@ from repro.broker.consumer import BrokerConsumer
 from repro.broker.producer import BrokerProducer
 from repro.cluster.cost import CostLedger
 from repro.common.errors import (
+    ChannelAbortedError,
     ChannelTimeoutError,
     RetriesExhaustedError,
+    TransferError,
     WorkerFailedError,
 )
 from repro.faults import (
@@ -25,10 +27,10 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.sql.types import DataType, Schema
-from repro.transfer.channel import ChannelId, StreamChannel
 from repro.transfer.stream_udf import plan_blocks
 
 SEEDS = (0, 1, 2)
+TRANSPORTS = ("memory", "socket")
 
 
 def make_points(deployment, n=500):
@@ -240,31 +242,6 @@ class TestRecoveryManager:
 
 
 class TestSequencedChannel:
-    def test_replay_deduplicated_and_charged_to_retry(self):
-        ledger = CostLedger()
-        channel = StreamChannel(ChannelId(0, 0), buffer_bytes=1 << 20, ledger=ledger)
-        blocks = [[(i, float(i))] for i in range(4)]
-        for seq, block in enumerate(blocks):
-            channel.send_block(block, seq)
-        sent = ledger.get("stream.sent")
-        # A restarted worker replays everything, then sends one new block.
-        for seq, block in enumerate(blocks):
-            channel.send_block(block, seq, retry=True)
-        channel.send_block([(4, 4.0)], 4, retry=True)
-        channel.close()
-
-        received = []
-        while True:
-            block = channel.receive_block(timeout=1.0)
-            if block is None:
-                break
-            received.extend(block)
-        assert received == [(i, float(i)) for i in range(5)]
-        assert channel.duplicate_blocks == 4
-        # Replay traffic lands only in the retry counters.
-        assert ledger.get("stream.sent") == sent
-        assert ledger.get("stream.retry") == channel.retry_bytes > 0
-
     def test_plan_blocks_deterministic_round_robin(self):
         partition = [(i,) for i in range(20)]
         blocks = plan_blocks(partition, k=3, batch_rows=4)
@@ -367,9 +344,10 @@ class TestChaosPartialRestart:
         received = sorted(result.dataset.collect())
         assert received == sorted((f1, f2, label) for _id, f1, f2, label in rows)
 
-    def test_restart_budget_exhaustion_fails_session(self):
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_restart_budget_exhaustion_fails_session(self, transport):
         """A worker that dies more often than the budget allows escalates:
-        the session fails and the error reaches both sides."""
+        the session fails and the typed error reaches both sides."""
         injector = FaultInjector(
             FaultConfig(seed=0, kill_sql_worker_rate=1.0, max_kills=None)
         )
@@ -377,7 +355,7 @@ class TestChaosPartialRestart:
             injector=injector, max_partial_restarts=2, sleep=lambda _s: None
         )
         deployment = make_deployment(
-            block_size=64 * 1024, batch_rows=16, recovery=recovery
+            block_size=64 * 1024, batch_rows=16, recovery=recovery, transport=transport
         )
         make_points(deployment)
         deployment.coordinator.create_session(
@@ -390,6 +368,59 @@ class TestChaosPartialRestart:
             )
         session = deployment.coordinator.session("doomed")
         assert session.failed
+        # The ML side saw the abort, not a clean EOF over a truncated stream.
+        with pytest.raises(TransferError, match="aborted"):
+            deployment.coordinator.wait_result("doomed")
+
+
+class TestProducerDeath:
+    """A producer that dies mid-stream poisons its channels on every
+    transport: readers get the typed ``ChannelAbortedError`` — never a clean
+    EOF, an ``AttributeError``, or a receive timeout — so the delivered
+    prefix is never ingested (and never charges ``ml.ingest``)."""
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_abort_is_sticky_over_close(self, transport):
+        deployment = make_deployment(block_size=64 * 1024, transport=transport)
+        coordinator = deployment.coordinator
+        coordinator.launcher = lambda session: "launched"
+        coordinator.create_session("s", command="noop")
+        for worker_id in range(4):
+            coordinator.register_sql_worker("s", worker_id, f"10.0.0.{worker_id}", 4)
+        coordinator.plan_input_splits("s", None)
+        channel = coordinator.sql_worker_channels("s", 0)[0]
+        channel.send_many([(1, "half-delivered")])
+        coordinator.notify_channel_failure("s", 0, "socket reset")
+        channel.close()  # a later clean close must not clear the abort
+        with pytest.raises(ChannelAbortedError, match="socket reset"):
+            channel.receive(timeout=1.0)
+        coordinator.close_session("s")
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_truncated_stream_never_charges_ml_ingest(self, transport):
+        """SQL worker 1 is killed after 50 rows with no restart budget: the
+        other workers' streams complete, worker 1's delivered prefix does
+        not count, and the session fails typed."""
+        injector = FaultInjector(FaultConfig(seed=0, kill_at={1: 50}))
+        recovery = RecoveryManager(
+            injector=injector, max_partial_restarts=0, sleep=lambda _s: None
+        )
+        deployment = make_deployment(
+            block_size=64 * 1024, batch_rows=16, recovery=recovery, transport=transport
+        )
+        make_points(deployment)
+        deployment.coordinator.create_session(
+            "cut", command="noop", conf_props={"record.format": "raw"}
+        )
+        with pytest.raises(RetriesExhaustedError):
+            deployment.engine.query_rows(
+                "SELECT * FROM TABLE(stream_transfer((SELECT id FROM points), "
+                "'cut')) AS s"
+            )
+        with pytest.raises(TransferError, match="aborted"):
+            deployment.coordinator.wait_result("cut")
+        assert deployment.cluster.ledger.get("stream.sent") > 0
+        assert deployment.cluster.ledger.get("ml.ingest") == 0
 
 
 class TestMlReaderKill:
@@ -433,8 +464,6 @@ class TestMlReaderKill:
             deployment.engine, deployment.dfs, num_users=100, num_carts=800, seed=5
         )
         deployment.pipeline.byte_scale = wl.byte_scale
-        from repro.common.errors import TransferError
-
         with pytest.raises(TransferError, match="ML reader 0"):
             deployment.pipeline.run_insql_stream(wl.prep_sql, wl.spec, "noop")
 
@@ -597,7 +626,7 @@ class TestBrokerChaos:
         )
         producer = BrokerProducer(broker, "t", injector=injector)
         with pytest.raises(ChannelTimeoutError, match="append"):
-            producer.send_row((1,))
+            producer.send((1,))
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.transfer.admission import (
     SpillGovernor,
     WorkerPoolScheduler,
 )
-from repro.transfer.socket_channel import MuxSocketChannel
+from repro.transfer.socket_channel import MuxPipe
 from repro.workloads.loadgen import (
     BASE_SEED,
     make_points_table,
@@ -286,7 +286,7 @@ class TestMultitenantServing:
         session = deployment.coordinator.session("probe")
         assert session.channels
         assert all(
-            isinstance(c, MuxSocketChannel) for c in session.channels.values()
+            isinstance(c._pipe, MuxPipe) for c in session.channels.values()
         )
         deployment.coordinator.close_session("probe")
 

@@ -1,6 +1,6 @@
-"""RowBlock framing: FIFO across spill boundaries, mixed block sizes, EOF
+"""Block framing: FIFO across spill boundaries, mixed block sizes, EOF
 flush of partial batches, deadline-guarded reads, and byte-identity of the
-ML boundary against the per-row seed path."""
+ML boundary against one-row frames (``batch_rows=1``)."""
 
 import threading
 import time
@@ -13,15 +13,8 @@ from repro.broker.consumer import BrokerConsumer
 from repro.broker.producer import BrokerProducer
 from repro.common.errors import TransferError
 from repro.sql.types import DataType, Schema
-from repro.transfer.buffers import (
-    SpillableBuffer,
-    decode_block,
-    decode_row,
-    encode_block,
-    encode_row,
-)
+from repro.transfer.buffers import SpillableBuffer, decode_block, encode_block
 from repro.transfer.channel import ChannelId, StreamChannel
-from repro.transfer.socket_channel import SocketStreamChannel
 from repro.workloads import generate_retail
 
 
@@ -33,13 +26,6 @@ class TestBlockCodec:
     def test_block_round_trip(self):
         rows = _rows(5)
         assert decode_block(encode_block(rows)) == rows
-
-    def test_per_row_frame_decodes_as_one_row_block(self):
-        """The two framings interoperate: a seed per-row frame reads back
-        as a one-row block, so batch_rows=1 is the seed wire format."""
-        row = (1, 2.5, "x")
-        assert decode_block(encode_row(row)) == [row]
-        assert decode_row(encode_row(row)) == row
 
     def test_empty_block(self):
         assert decode_block(encode_block([])) == []
@@ -59,7 +45,7 @@ class TestSpillBoundaryMidBlock:
         blocks = [_rows(10, f"b{i}") for i in range(20)]
         one_block_bytes = len(encode_block(blocks[0]))
         channel = StreamChannel(
-            ChannelId(0, 0), buffer_bytes=one_block_bytes + 8, local=True
+            ChannelId(0, 0), SpillableBuffer(one_block_bytes + 8), local=True
         )
         received = self._pump(channel, blocks)
         assert received == [row for block in blocks for row in block]
@@ -70,8 +56,7 @@ class TestSpillBoundaryMidBlock:
         one_block_bytes = len(encode_block(blocks[0]))
         channel = StreamChannel(
             ChannelId(0, 1),
-            buffer_bytes=one_block_bytes + 8,
-            spill_path=str(tmp_path / "spill.bin"),
+            SpillableBuffer(one_block_bytes + 8, spill_path=str(tmp_path / "spill.bin")),
             local=True,
         )
         received = self._pump(channel, blocks)
@@ -90,75 +75,58 @@ class TestSpillBoundaryMidBlock:
 
 
 class TestMixedBlockSizes:
-    """Per-row and block frames of varied sizes interleave on one channel."""
+    """One-row and many-row frames of varied sizes interleave on one channel."""
 
     MIX = [
-        ("row", (0, "single-a")),
-        ("block", _rows(3, "m0")),
-        ("row", (1, "single-b")),
-        ("block", _rows(1, "m1")),
-        ("block", _rows(17, "m2")),
-        ("row", (2, "single-c")),
+        [(0, "single-a")],
+        _rows(3, "m0"),
+        [(1, "single-b")],
+        _rows(1, "m1"),
+        _rows(17, "m2"),
+        [(2, "single-c")],
     ]
-
-    def _expected(self):
-        out = []
-        for kind, item in self.MIX:
-            if kind == "row":
-                out.append(item)
-            else:
-                out.extend(item)
-        return out
+    EXPECTED = [row for block in MIX for row in block]
 
     def _send_mix(self, channel):
-        for kind, item in self.MIX:
-            if kind == "row":
-                channel.send_row(item)
-            else:
-                channel.send_many(item)
+        for block in self.MIX:
+            channel.send_many(block)
         channel.close()
 
     def test_memory_channel_iterates_in_order(self):
-        channel = StreamChannel(ChannelId(1, 0), buffer_bytes=64, local=True)
+        channel = StreamChannel(ChannelId(1, 0), SpillableBuffer(64), local=True)
         self._send_mix(channel)
-        assert list(channel) == self._expected()
+        assert list(channel) == self.EXPECTED
 
     def test_memory_channel_receive_one_at_a_time(self):
-        channel = StreamChannel(ChannelId(1, 1), buffer_bytes=64, local=True)
+        channel = StreamChannel(ChannelId(1, 1), SpillableBuffer(64), local=True)
         self._send_mix(channel)
         out = []
         while (row := channel.receive()) is not None:
             out.append(row)
-        assert out == self._expected()
-        assert channel.rows_received == len(self._expected())
+        assert out == self.EXPECTED
+        assert channel.rows_received == len(self.EXPECTED)
 
-    def test_socket_channel_iterates_in_order(self):
-        channel = SocketStreamChannel(ChannelId(2, 0), buffer_bytes=2048, local=True)
+    def test_socket_channel_iterates_in_order(self, socket_pipe):
+        channel = StreamChannel(ChannelId(2, 0), socket_pipe(2048), local=True)
         received: list[tuple] = []
         reader = threading.Thread(target=lambda: received.extend(channel))
         reader.start()
         self._send_mix(channel)
         reader.join(timeout=10)
-        assert received == self._expected()
+        assert received == self.EXPECTED
 
-    def test_socket_channel_blocks_spill_past_kernel_buffer(self):
+    def test_socket_channel_blocks_spill_past_kernel_buffer(self, socket_pipe):
         """Big blocks against a tiny kernel buffer engage the overflow path
         without tearing frames."""
-        channel = SocketStreamChannel(ChannelId(2, 1), buffer_bytes=512, local=True)
+        channel = StreamChannel(ChannelId(2, 1), socket_pipe(512), local=True)
         blocks = [_rows(50, f"k{i}") for i in range(10)]
+        for block in blocks:  # the sender hits the full kernel buffer ...
+            channel.send_many(block)
+        assert channel.spilled_bytes > 0
         received: list[tuple] = []
         reader = threading.Thread(target=lambda: received.extend(channel))
-
-        def produce():
-            for block in blocks:
-                channel.send_many(block)
-            channel.close()
-
-        producer = threading.Thread(target=produce)
-        producer.start()
-        # Let the sender hit the full kernel buffer before draining starts.
-        producer.join(timeout=10)
-        reader.start()
+        reader.start()  # ... before draining starts
+        channel.close()
         reader.join(timeout=10)
         assert received == [row for block in blocks for row in block]
 
@@ -254,8 +222,7 @@ class TestBrokerBlocks:
         broker.create_topic("t", 2)
         producer = BrokerProducer(broker, "t", batch_rows=8)
         data = _rows(20)
-        for row in data:
-            producer.send_row(row)
+        producer.send_many(data)
         producer.close()
         info = broker.topic_info("t")
         assert info.total_records == 20  # logical rows, not block records
@@ -263,14 +230,16 @@ class TestBrokerBlocks:
         assert sorted(self._drain(broker, "t", 2)) == sorted(data)
 
     def test_batch_rows_one_is_seed_wire(self):
+        """``batch_rows=1`` is one-row frames: one record per row, none
+        buffered — the seed's record granularity, in the one frame format."""
         broker = MessageBroker()
         broker.create_topic("seed", 1)
         producer = BrokerProducer(broker, "seed", batch_rows=1)
-        offsets = [producer.send_row(row) for row in _rows(5)]
+        offsets = [producer.send(row) for row in _rows(5)]
         producer.close()
-        assert offsets == [0, 1, 2, 3, 4]  # one record per row, none buffered
+        assert offsets == [0, 1, 2, 3, 4]
         payloads, _next, _end = broker.fetch("seed", 0, 0, max_records=10)
-        assert all(isinstance(decode_row(p), tuple) for p in payloads)
+        assert [decode_block(p) for p in payloads] == [[row] for row in _rows(5)]
 
     def test_uncommitted_blocks_redelivered_whole(self):
         """At-least-once granularity is the block: an uncommitted poll is
@@ -279,8 +248,7 @@ class TestBrokerBlocks:
         broker.create_topic("redeliver", 1)
         producer = BrokerProducer(broker, "redeliver", batch_rows=5)
         data = _rows(30)
-        for row in data:
-            producer.send_row(row)
+        producer.send_many(data)
         producer.close()  # 6 block records
         first = BrokerConsumer(broker, "redeliver", 0, group="ml", batch_size=2)
         rows, _end = first.poll()  # 2 blocks = 10 rows
@@ -307,9 +275,12 @@ class TestMlBoundaryByteIdentity:
             for lp in result.ml_result.dataset.collect()
         ]
 
-    def _run(self, batch_rows, runner_name, transport="memory"):
+    def _run(self, batch_rows, runner_name, transport="memory", columnar=False):
         deployment = make_deployment(
-            block_size=64 * 1024, batch_rows=batch_rows, transport=transport
+            block_size=64 * 1024,
+            batch_rows=batch_rows,
+            transport=transport,
+            columnar=columnar,
         )
         workload = generate_retail(
             deployment.engine, deployment.dfs, num_users=200, num_carts=2_000, seed=31
@@ -329,9 +300,10 @@ class TestMlBoundaryByteIdentity:
     def test_broker_batched_equals_per_row_seed(self):
         assert self._run(256, "run_insql_broker") == self._run(1, "run_insql_broker")
 
-    def test_all_strategies_agree_with_batching_on(self):
+    @pytest.mark.parametrize("columnar", [False, True], ids=["rows", "columnar"])
+    def test_all_strategies_agree_with_batching_on(self, columnar):
         batched = {
-            name: self._run(256, name)
+            name: self._run(256, name, columnar=columnar)
             for name in ("run_naive", "run_insql", "run_insql_stream")
         }
         base = sorted(batched["run_naive"])

@@ -1,81 +1,19 @@
-"""Socket-backed stream channels: framing, backpressure, e2e transfer."""
-
-import threading
+"""The socket transport: the channel contract over a mux tag, e2e transfer."""
 
 import pytest
 
 from repro import make_deployment
 from repro.common.errors import TransferError
 from repro.sql.types import DataType, Schema
-from repro.transfer.channel import ChannelId
-from repro.transfer.socket_channel import SocketStreamChannel
+from tests.channel_contract import ChannelContract
 
 
-class TestSocketChannelUnit:
-    def test_send_receive_roundtrip(self):
-        channel = SocketStreamChannel(ChannelId(0, 0), buffer_bytes=65536)
-        rows = [(i, f"value-{i}", i * 0.5, None) for i in range(100)]
-        for row in rows:
-            channel.send_row(row)
-        channel.close()
-        assert list(channel) == rows
-        assert channel.rows_sent == channel.rows_received == 100
-        assert channel.bytes_sent == channel.bytes_received > 0
+class TestSocketChannelUnit(ChannelContract):
+    """The channel contract over one tag of a mux socket pair."""
 
-    def test_eof_after_close(self):
-        channel = SocketStreamChannel(ChannelId(0, 1))
-        channel.send_row((1,))
-        channel.close()
-        assert channel.receive() == (1,)
-        assert channel.receive() is None
-        assert channel.receive() is None  # repeated EOF stays EOF
-
-    def test_send_after_close_rejected(self):
-        channel = SocketStreamChannel(ChannelId(0, 2))
-        channel.close()
-        with pytest.raises(TransferError):
-            channel.send_row((1,))
-
-    def test_backpressure_spills_without_blocking(self):
-        """A tiny kernel buffer and no reader: the sender must keep going,
-        spilling overflow locally like the paper requires."""
-        channel = SocketStreamChannel(ChannelId(1, 0), buffer_bytes=2048)
-        big_row = ("x" * 512,)
-        for _ in range(200):  # far beyond any kernel buffer rounding
-            channel.send_row(big_row)
-        assert channel.spilled_bytes > 0
-        # a concurrent reader drains everything, including the overflow
-        received = []
-        reader = threading.Thread(target=lambda: received.extend(iter(channel)))
-        reader.start()
-        channel.close()
-        reader.join(timeout=10)
-        assert len(received) == 200
-
-    def test_receive_timeout(self):
-        channel = SocketStreamChannel(ChannelId(2, 0), receive_timeout_s=0.05)
-        with pytest.raises(TransferError, match="timed out"):
-            channel.receive()
-
-    def test_concurrent_producer_consumer(self):
-        channel = SocketStreamChannel(ChannelId(3, 0), buffer_bytes=4096)
-        rows = [(i, "payload" * (i % 5)) for i in range(3000)]
-        received = []
-
-        def produce():
-            for row in rows:
-                channel.send_row(row)
-            channel.close()
-
-        def consume():
-            received.extend(iter(channel))
-
-        threads = [threading.Thread(target=produce), threading.Thread(target=consume)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=20)
-        assert received == rows
+    @pytest.fixture(autouse=True)
+    def _pipes(self, socket_pipe):
+        self.make_pipe = socket_pipe
 
 
 class TestSocketTransportEndToEnd:

@@ -1,14 +1,25 @@
-"""Spillable buffers and stream channels: FIFO, backpressure, accounting."""
+"""Spillable buffers, the frame codec, and the stream-channel contract over
+the in-memory pipe: FIFO, backpressure, accounting, frame integrity."""
 
+import os
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.cost import CostLedger
-from repro.common.errors import ChannelAbortedError, TransferError
-from repro.transfer.buffers import SpillableBuffer, decode_row, encode_row
+from repro.columnar.batch import ColumnBatch
+from repro.common.errors import ChannelAbortedError, FrameError, TransferError
+from repro.sql.types import DataType, Schema
+from repro.transfer.buffers import (
+    SpillableBuffer,
+    block_logical_bytes,
+    decode_block,
+    encode_block,
+    frame_header,
+)
 from repro.transfer.channel import ChannelId, StreamChannel
+from tests.channel_contract import ChannelContract
 
 
 class TestSpillableBuffer:
@@ -77,16 +88,17 @@ class TestSpillableBuffer:
         buffer.close()
         assert list(buffer) == items
         # The spill file is cleaned up once fully drained.
-        import os
-
         assert not os.path.exists(path)
 
     def test_spill_accounting_in_ledger(self):
+        """``put`` reports what it spilled; the channel charges the ledger."""
+        buffer = SpillableBuffer(capacity_bytes=4)
+        assert buffer.put(b"xxxx") == 0
+        assert buffer.put(b"yyyy") == 4  # spills
         ledger = CostLedger()
-        buffer = SpillableBuffer(capacity_bytes=4, ledger=ledger)
-        buffer.put(b"xxxx")
-        buffer.put(b"yyyy")  # spills
-        assert ledger.get("stream.spilled") == 4
+        channel = StreamChannel(ChannelId(0, 0), SpillableBuffer(4), ledger=ledger)
+        channel.send_many([(1,)])
+        assert ledger.get("stream.spilled") == channel.spilled_bytes > 0
 
     def test_producer_consumer_threads(self):
         buffer = SpillableBuffer(capacity_bytes=64)
@@ -154,55 +166,92 @@ class TestSpillableBuffer:
         assert list(buffer) == items
 
 
+ROW = st.tuples(
+    st.one_of(st.none(), st.integers(), st.floats(allow_nan=False), st.text(max_size=20)),
+    st.integers(min_value=-(2**62), max_value=2**62),
+    st.one_of(st.none(), st.text(max_size=5)),
+)
+BATCH_SCHEMA = Schema.of(
+    ("v", DataType.DOUBLE), ("n", DataType.BIGINT), ("s", DataType.VARCHAR)
+)
+BATCH_ROW = st.tuples(
+    st.one_of(st.none(), st.floats(allow_nan=False)),
+    st.integers(min_value=-(2**62), max_value=2**62),
+    st.one_of(st.none(), st.text(max_size=5)),
+)
+
+
 class TestRowCodec:
-    @given(
-        row=st.tuples(
-            st.one_of(st.none(), st.integers(), st.floats(allow_nan=False), st.text(max_size=20)),
-            st.integers(),
-            st.one_of(st.none(), st.text(max_size=5)),
-        )
-    )
-    def test_roundtrip(self, row):
-        assert decode_row(encode_row(row)) == row
+    """The one frame codec: ``R`` frames of rows, ``C`` frames of batches."""
+
+    @given(rows=st.lists(ROW, max_size=12), seq=st.integers(0, 2**40))
+    def test_roundtrip(self, rows, seq):
+        payload = encode_block(rows, seq)
+        assert decode_block(payload) == rows
+        kind, got_seq, logical = frame_header(payload)
+        assert (kind, got_seq) == (b"R", seq)
+        assert logical == block_logical_bytes(payload)
+        # logical bytes are framing-invariant: the sum of the one-row frames
+        assert logical == sum(block_logical_bytes(encode_block([r])) for r in rows)
+
+    @given(rows=st.lists(BATCH_ROW, max_size=12), seq=st.integers(0, 2**40))
+    def test_batch_roundtrip(self, rows, seq):
+        batch = ColumnBatch.from_rows(BATCH_SCHEMA, rows)
+        payload = encode_block(batch, seq)
+        decoded = decode_block(payload)
+        assert isinstance(decoded, ColumnBatch)
+        assert decoded.to_rows() == batch.to_rows()
+        assert frame_header(payload) == (b"C", seq, batch.logical_bytes())
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(BATCH_ROW, max_size=6), columnar=st.booleans())
+    def test_every_strict_prefix_is_rejected(self, rows, columnar):
+        """A truncated frame raises the typed error — it never decodes to
+        fewer rows — and is accounted as the opaque bytes it is."""
+        block = ColumnBatch.from_rows(BATCH_SCHEMA, rows) if columnar else rows
+        payload = encode_block(block)
+        for cut in range(len(payload)):
+            with pytest.raises(FrameError):
+                decode_block(payload[:cut])
+            assert block_logical_bytes(payload[:cut]) == cut
+
+    def test_malformed_payloads_raise_frame_error(self):
+        payload = encode_block([(1, "a"), (2, "b")])
+        for damaged in (
+            b"",
+            b"B\x00",
+            b"X" + payload[1:],  # unknown kind byte
+            payload + b"\x00",  # trailing garbage
+            payload[:-1] + bytes([payload[-1] ^ 0xFF]),  # flipped pickle STOP
+            payload[:9] + b"\xff" + payload[10:],  # logical-bytes header lies
+        ):
+            with pytest.raises(FrameError):
+                decode_block(damaged)
 
 
-class TestStreamChannel:
-    def test_send_receive(self):
-        channel = StreamChannel(ChannelId(0, 0), buffer_bytes=4096)
-        channel.send_row((1, "a", 2.5))
-        channel.send_row((2, "b", None))
-        channel.close()
-        assert list(channel) == [(1, "a", 2.5), (2, "b", None)]
-        assert channel.rows_sent == 2
-        assert channel.rows_received == 2
-        assert channel.bytes_sent == channel.bytes_received > 0
+class TestStreamChannel(ChannelContract):
+    """The channel contract over the in-memory pipe, plus what only a
+    spill-file-backed pipe can show."""
 
-    def test_abort_raises_typed_error_for_receivers(self):
-        channel = StreamChannel(ChannelId(0, 0), buffer_bytes=4096)
-        channel.send_row((1, "a", 2.5))
-        channel.abort("worker 0 died")
-        with pytest.raises(ChannelAbortedError, match="worker 0 died"):
-            channel.receive_block(timeout=0.1)
+    def make_pipe(self, buffer_bytes, budget):
+        return SpillableBuffer(buffer_bytes, budget=budget)
 
-    def test_ledger_accounting_remote(self):
-        ledger = CostLedger()
-        channel = StreamChannel(ChannelId(1, 3), buffer_bytes=4096, ledger=ledger, local=False)
-        channel.send_row((1, 2))
-        assert ledger.get("stream.sent") > 0
-        assert ledger.get("stream.net") == ledger.get("stream.sent")
-
-    def test_ledger_accounting_local_skips_network(self):
-        ledger = CostLedger()
-        channel = StreamChannel(ChannelId(1, 3), buffer_bytes=4096, ledger=ledger, local=True)
-        channel.send_row((1, 2))
-        assert ledger.get("stream.sent") > 0
-        assert ledger.get("stream.net") == 0
-
-    def test_tiny_buffer_spills_and_delivers(self):
-        channel = StreamChannel(ChannelId(0, 0), buffer_bytes=16)
+    def test_tiny_buffer_spills_and_delivers(self, tmp_path):
+        path = str(tmp_path / "spill.bin")
+        channel = StreamChannel(ChannelId(0, 0), SpillableBuffer(16, spill_path=path))
         rows = [(i, f"value{i}") for i in range(200)]
         for row in rows:
-            channel.send_row(row)
+            channel.send_many([row])
         channel.close()
-        assert channel.spilled_bytes > 0
+        assert channel.spilled_bytes > 0 and os.path.exists(path)
         assert list(channel) == rows
+        assert not os.path.exists(path)  # drained spill files are deleted
+
+    def test_release_deletes_leftover_spill_file(self, tmp_path):
+        path = str(tmp_path / "spill.bin")
+        channel = StreamChannel(ChannelId(0, 0), SpillableBuffer(16, spill_path=path))
+        channel.send_many([(i, f"value{i}") for i in range(50)])
+        channel.send_many([(0, "never read")])
+        assert os.path.exists(path)
+        channel.release()
+        assert not os.path.exists(path)

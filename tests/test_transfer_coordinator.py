@@ -259,8 +259,7 @@ class TestSQLStreamInputFormat:
         splits = fmt.get_splits(conf, None)
         target = splits[0]
         channel = coordinator.session("s").channels[target.channel_id]
-        channel.send_row((1, "x"))
-        channel.send_row((2, "y"))
+        channel.send_many([(1, "x"), (2, "y")])
         channel.close()
         reader = fmt.create_record_reader(target, conf)
         assert list(reader) == [(1, "x"), (2, "y")]
@@ -302,7 +301,7 @@ class TestSessionTeardown:
         for worker_id in range(2):
             for channel in coord.sql_worker_channels("s", worker_id):
                 for i in range(50):
-                    channel.send_row((i, "x" * 32))
+                    channel.send_many([(i, "x" * 32)])
         if fail:
             coord.notify_channel_failure("s", 0, "injected")
         return coord
@@ -324,7 +323,7 @@ class TestSessionTeardown:
         register_all(coordinator, "s", n=2)
         (cid, *_rest) = coordinator.plan_input_splits("s", 2)
         channel = coordinator.session("s").channels[cid]
-        channel.send_row((1, "x"))
+        channel.send_many([(1, "x")])
         coordinator.close_session("s")
         # release() drops pending rows: a reader that shows up after
         # teardown sees EOF at once instead of hanging on its timeout.
