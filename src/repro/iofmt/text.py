@@ -49,14 +49,26 @@ class LineRecordReader(RecordReader):
         # the boundary is read here); the next split's reader discards its
         # first partial line, which is exactly that one.  Net effect: every
         # line of the file is yielded by exactly one reader.
-        while True:
-            start_offset = self._consumed
-            if start_offset > self._split.split_length:
-                return
-            line = self._read_line()
-            if line is None:
-                return
-            yield line
+        #
+        # Lines are taken a buffer at a time: everything up to a cut is
+        # decoded and split at once.  The cut is the newline of the last line
+        # this split owns (the first newline at or after the split's end) or,
+        # while the buffer stops short of that, the buffer's last newline;
+        # lines of the next split stay in the buffer.
+        limit = self._split.split_length
+        while self._consumed <= limit:
+            cut = self._buffer.find(b"\n", limit - self._consumed)
+            if cut < 0:
+                cut = self._buffer.rfind(b"\n")
+            if cut < 0:
+                line = self._read_line()
+                if line is None:
+                    return
+                yield line.decode("utf-8")
+                continue
+            chunk, self._buffer = self._buffer[:cut], self._buffer[cut + 1 :]
+            self._consumed += cut + 1
+            yield from chunk.decode("utf-8").split("\n")
 
     def close(self) -> None:
         self._reader.close()
@@ -73,18 +85,20 @@ class LineRecordReader(RecordReader):
         self._buffer += chunk
         return True
 
-    def _read_line(self) -> str | None:
+    def _read_line(self) -> bytes | None:
+        """The next line, undecoded: a split may start inside a character,
+        so the partial first line it discards need not be valid UTF-8."""
         while b"\n" not in self._buffer:
             if not self._fill():
                 if self._buffer:
                     line = self._buffer
                     self._consumed += len(line)
                     self._buffer = b""
-                    return line.decode("utf-8")
+                    return line
                 return None
         raw, self._buffer = self._buffer.split(b"\n", 1)
         self._consumed += len(raw) + 1
-        return raw.decode("utf-8")
+        return raw
 
     def _discard_partial_first_line(self) -> None:
         discarded = self._read_line()

@@ -18,7 +18,7 @@ from repro.sql.parser import parse
 from repro.sql.plan import LogicalPlan
 from repro.sql.planner import Planner, PlannerContext
 from repro.sql.table import Partition, Table, partition_rows
-from repro.sql.types import DataType, Schema
+from repro.sql.types import DataType, Schema, estimate_rows_bytes
 from repro.sql.udf import TableUDF
 
 
@@ -126,13 +126,12 @@ class BigSQL:
         for selectivity estimation and join ordering until the table's
         version changes."""
         from repro.sql.catalog import TableStats
-        from repro.sql.types import estimate_row_bytes
 
         entry = self.catalog.get_entry(name)
         relation = self.execute_distributed(f"SELECT * FROM {name}")
         row_count = relation.total_rows()
         all_rows = relation.all_rows()
-        total_bytes = sum(estimate_row_bytes(r) for r in all_rows)
+        total_bytes = estimate_rows_bytes(all_rows)
         distinct: list[set] = [set() for _ in relation.schema]
         for row in all_rows:
             for i, value in enumerate(row):

@@ -10,11 +10,12 @@ cost model converts into paper-scale seconds.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any
 
 from repro.cluster.cost import CostLedger
 from repro.cluster.node import Node
-from repro.columnar.batch import ColumnBatch
+from repro.columnar.batch import ColumnBatch, ColumnVector
 from repro.common.errors import ExecutionError
 from repro.iofmt.inputformat import JobConf
 from repro.iofmt.text import CsvInputFormat, FileSplit
@@ -35,7 +36,7 @@ from repro.sql.plan import (
 )
 from repro.sql.planner import BROADCAST_THRESHOLD_BYTES
 from repro.sql.table import Table
-from repro.sql.types import Schema, estimate_row_bytes
+from repro.sql.types import Schema, estimate_row_bytes, estimate_rows_bytes
 from repro.sql.udf import UdfContext
 
 
@@ -81,7 +82,7 @@ class DistRelation:
         return sum(
             p.logical_bytes()
             if isinstance(p, ColumnBatch)
-            else sum(estimate_row_bytes(r) for r in p)
+            else estimate_rows_bytes(p)
             for p in self.partitions
         )
 
@@ -194,17 +195,17 @@ class Executor:
     # ------------------------------------------------------------------ scan
 
     def _exec_scan(self, plan: LogicalScan) -> DistRelation:
+        """Every table kind produces ``plan.columns`` only; ``sql.scan`` is
+        charged for the whole table or split all the same, because that is
+        what gets read (a text line cannot be read in part)."""
         table = plan.table
         if table.is_external:
-            partitions = self._scan_external(table)
+            partitions = self._scan_external(plan)
         else:
-            partitions = self._redistribute_table(table)
+            partitions = self._redistribute_table(table, plan.columns)
             self._ctx.ledger.add("sql.scan", table.estimated_bytes())
-        if self._ctx.columnar:
-            partitions = [
-                self._to_batch(plan.schema, p) if not isinstance(p, ColumnBatch) else p
-                for p in partitions
-            ]
+            if self._ctx.columnar:
+                partitions = [self._to_batch(plan.schema, p) for p in partitions]
         relation = DistRelation(schema=plan.schema, partitions=partitions)
         if plan.pushed_filter is not None:
             relation = self._apply_filter(relation, plan.pushed_filter)
@@ -227,22 +228,23 @@ class Executor:
         default deployments emit no such ledger category."""
         self._ctx.ledger.add("columnar.fallback", 1)
 
-    def _redistribute_table(self, table: Table) -> list[list[tuple]]:
-        n = self._ctx.num_workers
+    def _redistribute_table(self, table: Table, columns) -> list[list[tuple]]:
+        n, width = self._ctx.num_workers, len(table.schema)
         if len(table.partitions) == n:
-            return [list(p.rows) for p in table.partitions]
+            return [_project_rows(p.rows, columns, width) for p in table.partitions]
         partitions = self._empty_partitions()
-        for i, row in enumerate(table.all_rows()):
+        for i, row in enumerate(_project_rows(table.all_rows(), columns, width)):
             partitions[i % n].append(row)
         return partitions
 
-    def _scan_external(self, table: Table) -> list[list[tuple]]:
+    def _scan_external(self, plan: LogicalScan) -> list:
+        table = plan.table
         if self._ctx.dfs is None:
             raise ExecutionError(
                 f"external table {table.name!r} requires a DFS-attached engine"
             )
         if table.external.format == "columnar":
-            return self._scan_external_columnar(table)
+            return self._scan_external_columnar(plan)
         conf = JobConf(
             {"input.path": table.external.path, "csv.delimiter": table.external.delimiter},
             dfs=self._ctx.dfs,
@@ -250,32 +252,43 @@ class Executor:
         fmt = CsvInputFormat()
         splits = fmt.get_splits(conf, self._ctx.num_workers * 2)
         assignments = assign_splits(splits, self._ctx.worker_nodes)
-        dtypes = [c.dtype for c in table.schema]
+        dtypes = [table.schema.column(i).dtype for i in plan.columns]
         total_bytes = sum(s.length() for s in splits)
         self._ctx.ledger.add("sql.scan", total_bytes)
 
-        def read_worker(worker_id: int, worker_splits) -> list[tuple]:
+        def read_worker(worker_id: int, worker_splits):
+            """split -> parsed columns -> rows | batch: the rows plane zips
+            each split's columns into tuples, the columnar plane gathers the
+            worker's columns and types them (no tuple stage)."""
             node = self._ctx.worker_nodes[worker_id % len(self._ctx.worker_nodes)]
             worker_conf = JobConf(
                 dict(conf.props, **{"client.ip": node.ip}), dfs=self._ctx.dfs
             )
             rows: list[tuple] = []
+            columns: list[list] = [[] for _ in dtypes]
             for split in worker_splits:
                 with fmt.create_record_reader(split, worker_conf) as reader:
-                    for fields in reader:
-                        if len(fields) != len(dtypes):
-                            raise ExecutionError(
-                                f"bad record in {table.name}: expected "
-                                f"{len(dtypes)} fields, got {len(fields)}"
-                            )
-                        rows.append(
-                            tuple(dt.parse(f) for dt, f in zip(dtypes, fields))
-                        )
+                    parsed = _parse_split(list(reader), plan, split)
+                if self._ctx.columnar:
+                    for column, values in zip(columns, parsed):
+                        column += values
+                else:
+                    rows.extend(zip(*parsed))
+            if self._ctx.columnar:
+                try:
+                    vectors = [
+                        ColumnVector.from_values(dtype, column)
+                        for dtype, column in zip(dtypes, columns)
+                    ]
+                    return ColumnBatch.from_columns(plan.schema, vectors, len(columns[0]))
+                except _VECTOR_FALLBACK_ERRORS:
+                    self._count_columnar_fallback()
+                    rows = list(zip(*columns))
             return rows
 
         return self._map_partitions(assignments, read_worker)
 
-    def _scan_external_columnar(self, table: Table) -> list[list[tuple]]:
+    def _scan_external_columnar(self, plan: LogicalScan) -> list:
         """Columnar scan: one part file at a time, rows arrive pre-typed.
 
         Scan bytes are the (dictionary-compressed) file bytes — columnar
@@ -288,6 +301,7 @@ class Executor:
         dictionary encoding."""
         from repro.columnar.format import ColumnarInputFormat, decode_partition_batch
 
+        table = plan.table
         conf = JobConf({"input.path": table.external.path}, dfs=self._ctx.dfs)
         fmt = ColumnarInputFormat()
         splits = fmt.get_splits(conf, self._ctx.num_workers)
@@ -302,10 +316,12 @@ class Executor:
                 batches = []
                 for split in worker_splits:
                     data = self._ctx.dfs.read_bytes(split.path, client_ip=node.ip)
-                    batches.append(decode_partition_batch(data, table.schema))
+                    batch = decode_partition_batch(data, table.schema)
+                    kept = [batch.columns[i] for i in plan.columns]
+                    batches.append(ColumnBatch.from_columns(plan.schema, kept, batch.num_rows))
                 if not batches:
-                    return ColumnBatch.from_rows(table.schema, [])
-                return ColumnBatch.concat(table.schema, batches)
+                    return ColumnBatch.from_rows(plan.schema, [])
+                return ColumnBatch.concat(plan.schema, batches)
 
             return self._map_partitions(assignments, read_worker_batch)
 
@@ -325,7 +341,7 @@ class Executor:
                                 f"{expected_width} fields, got {len(row)}"
                             )
                         rows.append(row)
-            return rows
+            return _project_rows(rows, plan.columns, expected_width)
 
         return self._map_partitions(assignments, read_worker)
 
@@ -447,20 +463,15 @@ class Executor:
         left_bytes = left.estimated_bytes()
         right_bytes = right.estimated_bytes()
 
-        if plan.kind == "left":
-            build_side, probe_side = "right", "left"
-            use_broadcast = right_bytes <= BROADCAST_THRESHOLD_BYTES
+        # Build on the right input of a LEFT join, else on the smaller one.
+        if plan.kind != "left" and left_bytes <= right_bytes:
+            build_side, build_bytes = "left", left_bytes
         else:
-            if left_bytes <= right_bytes:
-                build_side, probe_side = "left", "right"
-                use_broadcast = left_bytes <= BROADCAST_THRESHOLD_BYTES
-            else:
-                build_side, probe_side = "right", "left"
-                use_broadcast = right_bytes <= BROADCAST_THRESHOLD_BYTES
+            build_side, build_bytes = "right", right_bytes
 
-        if use_broadcast:
+        if build_bytes <= BROADCAST_THRESHOLD_BYTES:
             relation = self._broadcast_join(
-                plan, left, right, left_key_fns, right_key_fns, build_side
+                plan, left, right, left_key_fns, right_key_fns, build_side, build_bytes
             )
         else:
             relation = self._shuffle_join(
@@ -490,7 +501,7 @@ class Executor:
         return relation
 
     def _broadcast_join(
-        self, plan, left, right, left_key_fns, right_key_fns, build_side
+        self, plan, left, right, left_key_fns, right_key_fns, build_side, build_bytes
     ) -> DistRelation:
         if build_side == "left":
             build, probe = left, right
@@ -500,8 +511,8 @@ class Executor:
             build_key_fns, probe_key_fns = right_key_fns, left_key_fns
 
         build_rows = build.all_rows()
-        replication_cost = build.estimated_bytes() * max(self._ctx.num_workers - 1, 0)
-        self._ctx.ledger.add("sql.shuffle", int(replication_cost))
+        replication_cost = build_bytes * max(self._ctx.num_workers - 1, 0)
+        self._ctx.ledger.add("sql.shuffle", replication_cost)
 
         hash_table: dict[tuple, list[tuple]] = {}
         for row, key in zip(build_rows, _batch_key_tuples(build_key_fns, build_rows)):
@@ -757,6 +768,36 @@ class Executor:
             taken.extend(partition_rows(partition)[: plan.limit - len(taken)])
         partitions[0] = taken
         return DistRelation(schema=plan.schema, partitions=partitions)
+
+
+def _parse_split(records: list[list[str]], plan: LogicalScan, split: FileSplit) -> list[list]:
+    """The scan's columns of one split's text records, parsed: every record
+    is checked against the table's full width (so a malformed field fails
+    the scan even in a pruned column), then the records are pivoted once and
+    the kept columns parsed, one pass each.  The caller keeps no reference to
+    ``records``, so a split's text is gone before the next split is read."""
+    schema = plan.table.schema
+    if set(map(len, records)) - {len(schema)}:
+        index, fields = next(
+            (i, f) for i, f in enumerate(records, 1) if len(f) != len(schema)
+        )
+        raise ExecutionError(
+            f"bad record in {plan.table.name}: expected {len(schema)} fields, "
+            f"got {len(fields)} (record {index} of the split of {split.path} "
+            f"starting at byte {split.start})"
+        )
+    texts = list(zip(*records)) or [()] * len(schema)
+    return [schema.column(i).dtype.parse_column(texts[i]) for i in plan.columns]
+
+
+def _project_rows(rows: list[tuple], columns, width: int) -> list[tuple]:
+    """A copy of ``rows`` narrowed to the ``columns`` of ``width``-wide rows."""
+    if len(columns) == width:
+        return list(rows)
+    if len(columns) == 1:  # itemgetter of one index returns the bare value
+        (index,) = columns
+        return [(row[index],) for row in rows]
+    return list(map(itemgetter(*columns), rows))
 
 
 def _batch_key_tuples(batch_fns, rows: list[tuple]) -> list[tuple]:

@@ -28,17 +28,23 @@ class LogicalPlan:
 @dataclass
 class LogicalScan(LogicalPlan):
     """Scan a catalog table under a binding qualifier, with an optional
-    pushed-down filter."""
+    pushed-down filter.
+
+    ``columns`` are the indices into ``table.schema`` the scan produces, in
+    table order; ``schema`` is exactly those columns (projection pushdown)."""
 
     table: Table
     qualifier: str | None
     schema: Schema
+    columns: tuple[int, ...]
     pushed_filter: Expr | None = None
 
     def describe(self) -> str:
         text = f"Scan({self.table.name}"
         if self.qualifier and self.qualifier != self.table.name:
             text += f" AS {self.qualifier}"
+        if len(self.columns) < len(self.table.schema):
+            text += f", columns=[{', '.join(self.schema.names)}]"
         if self.pushed_filter is not None:
             text += f", filter={self.pushed_filter.to_sql()}"
         return text + ")"

@@ -71,8 +71,20 @@ class Planner:
 
     def __init__(self, ctx: PlannerContext):
         self._ctx = ctx
+        # What the statement being planned reads; None = every column.
+        self._references: set[tuple[str | None, str]] | None = None
 
     def plan(self, query: SelectQuery) -> LogicalPlan:
+        try:
+            return self._plan(query, _statement_references(query))
+        except PlanError as exc:
+            if "unknown column" not in str(exc):
+                raise
+        # Unpruned, the same error lists every column the tables offer.
+        return self._plan(query, None)
+
+    def _plan(self, query: SelectQuery, references) -> LogicalPlan:
+        self._references = references
         relations, join_pool = self._plan_from(query.from_refs)
         pool = list(join_pool) + conjuncts(query.where)
         self._reject_aggregates(pool, "WHERE")
@@ -141,12 +153,22 @@ class Planner:
         name = f"__leftjoin_{right.name}"
         return _Relation(plan=plan, name=name, estimated_bytes=right.estimated_bytes)
 
-    def _plan_base_ref(self, ref: TableRef) -> _Relation:
+    def _plan_base_ref(self, ref: TableRef, prune: bool = True) -> _Relation:
         if isinstance(ref, NamedTable):
             table = self._ctx.resolve_table(ref.name)
             qualifier = ref.binding_name
             schema = table.schema.with_qualifier(qualifier)
-            plan = LogicalScan(table=table, qualifier=qualifier, schema=schema)
+            # Projection pushdown: keep what some reference of the statement
+            # can resolve to (a COUNT(*)-only input keeps one column to carry
+            # the row count).
+            refs = self._references
+            columns = tuple(
+                i
+                for i, column in enumerate(schema)
+                if not prune or refs is None or any(column.matches(q, n) for q, n in refs)
+            ) or (0,)[: len(schema)]
+            schema = Schema([schema.column(i) for i in columns])
+            plan = LogicalScan(table=table, qualifier=qualifier, schema=schema, columns=columns)
             stats = self._ctx.table_stats(table)
             estimated = (
                 stats.total_bytes
@@ -170,7 +192,9 @@ class Planner:
 
     def _plan_table_function(self, ref: TableFunction) -> _Relation:
         udf = self._ctx.resolve_table_udf(ref.udf_name)
-        input_relation = self._plan_base_ref(ref.input_ref)
+        # A pass-through UDF exposes its whole input: a table handed to one
+        # is never pruned (a subquery input prunes by its own select list).
+        input_relation = self._plan_base_ref(ref.input_ref, prune=False)
         args = tuple(self._constant(a) for a in ref.args)
         input_schema = input_relation.plan.schema
         out_schema = udf.output_schema(input_schema, args)
@@ -567,6 +591,25 @@ class Planner:
             else:
                 names.append(f"_c{i}")
         return names
+
+
+def _statement_references(query: SelectQuery) -> set[tuple[str | None, str]] | None:
+    """Every ``(qualifier, name)`` the statement's own clauses read — select
+    list, WHERE, GROUP BY, HAVING, ORDER BY and the ON conditions of its
+    joins; subqueries answer for themselves.  None when a bare ``*`` in the
+    select list reads every column."""
+    exprs = [item.expr for item in query.items]
+    if any(isinstance(expr, Star) for expr in exprs):
+        return None
+    exprs += [query.where, query.having, *query.group_by]
+    exprs += [order.expr for order in query.order_by]
+    pending = list(query.from_refs)
+    while pending:
+        ref = pending.pop()
+        if isinstance(ref, Join):
+            exprs.append(ref.condition)
+            pending += [ref.left, ref.right]
+    return set().union(*(expr.references() for expr in exprs if expr is not None))
 
 
 def _requalify(plan: LogicalPlan, schema: Schema) -> LogicalPlan:

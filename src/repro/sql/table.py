@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 from repro.common.errors import CatalogError
-from repro.sql.types import Schema, estimate_row_bytes
+from repro.sql.types import Schema, estimate_rows_bytes
 
 
 @dataclass
@@ -18,7 +18,7 @@ class Partition:
 
     def estimated_bytes(self) -> int:
         """Approximate in-memory/wire size of this partition."""
-        return sum(estimate_row_bytes(r) for r in self.rows)
+        return estimate_rows_bytes(self.rows)
 
 
 @dataclass

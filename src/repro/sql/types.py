@@ -31,6 +31,21 @@ class DataType(enum.Enum):
             return text.strip().lower() in ("true", "t", "1", "yes")
         return text
 
+    def parse_column(self, texts) -> list:
+        """``[self.parse(t) for t in texts]`` as one C-level pass; a NULL
+        marker, which ``int``/``float`` reject like any unparsable field,
+        sends the column through that per-value loop instead."""
+        try:
+            if self in (DataType.INT, DataType.BIGINT):
+                return list(map(int, texts))
+            if self is DataType.DOUBLE:
+                return list(map(float, texts))
+            if self is DataType.VARCHAR and "" not in texts and r"\N" not in texts:
+                return list(texts)
+        except ValueError:
+            pass
+        return [self.parse(t) for t in texts]
+
     def render(self, value) -> str:
         """Render a Python value as a CSV field (NULL -> empty string)."""
         if value is None:
@@ -164,3 +179,23 @@ def estimate_value_bytes(value) -> int:
 def estimate_row_bytes(row: tuple) -> int:
     """Rough wire size of one row."""
     return 2 + sum(estimate_value_bytes(v) for v in row)
+
+
+def estimate_rows_bytes(rows: list[tuple]) -> int:
+    """``sum(estimate_row_bytes(r) for r in rows)``, computed per column: one
+    holding only ``int``/``float`` or only ``str`` objects (exact types, so
+    not ``bool``, ``None``, subclasses or numpy scalars) is sized wholesale;
+    any other column, and ragged input, takes the per-value ladder."""
+    n = len(rows)
+    if len(set(map(len, rows))) != 1:
+        return sum(map(estimate_row_bytes, rows))
+    total = 2 * n
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        if kinds <= {int, float}:
+            total += 8 * n
+        elif kinds == {str}:
+            total += sum(map(len, column)) + 4 * n
+        else:
+            total += sum(map(estimate_value_bytes, column))
+    return total

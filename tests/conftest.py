@@ -1,6 +1,7 @@
 """Shared fixtures: clusters, file systems, engines, full deployments."""
 
 import pytest
+from hypothesis import settings
 
 from repro import Deployment, make_deployment
 from repro.cluster.cluster import make_paper_cluster
@@ -8,6 +9,10 @@ from repro.hdfs.filesystem import DistributedFileSystem
 from repro.sql.engine import BigSQL
 from repro.sql.types import DataType, Schema
 from repro.transfer.socket_channel import MuxPipe, MuxSocketTransport
+
+# CI runs ``--hypothesis-profile=ci``: examples derive from each test's source,
+# so a property failure on a runner replays on any checkout of that commit.
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture()

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import make_deployment
 from repro.cluster.cluster import make_paper_cluster
 from repro.columnar.batch import ColumnBatch, batch_to_xy
+from repro.hdfs.filesystem import DistributedFileSystem
 from repro.ml.dataset import ArrayDataset, LabeledPoint
 from repro.sql.engine import BigSQL
 from repro.sql.types import DataType, Schema
@@ -134,6 +135,44 @@ def test_columnar_executor_matches_row_executor(sql, data):
         assert columnar == row, f"order disagreement on: {sql}"
     else:
         assert normalize(columnar) == normalize(row), f"disagreement on: {sql}"
+
+
+def _text_engine(text, schema, columnar):
+    cluster = make_paper_cluster()
+    dfs = DistributedFileSystem(cluster, block_size=1024)
+    dfs.write_text("/t/data.csv", text)
+    engine = BigSQL(cluster, dfs, columnar=columnar)
+    engine.register_external_table("t", schema, "/t/data.csv")
+    return engine
+
+
+def test_text_scan_types_columns_without_a_row_stage(monkeypatch):
+    """split -> columns -> batch: the scan's partitions are batches of the
+    kept columns, built without pivoting row tuples."""
+    schema = Schema.of(("a", DataType.INT), ("s", DataType.VARCHAR), ("d", DataType.DOUBLE))
+    text = "".join(f"{i},w{i % 3},{i / 4}\n" for i in range(500)) + "500,,\n"
+    engine = _text_engine(text, schema, columnar=True)
+    monkeypatch.setattr(
+        ColumnBatch, "from_rows", lambda *a: pytest.fail("the scan pivoted rows")
+    )
+    relation = engine.execute_distributed("SELECT s, d FROM t WHERE d >= 0 OR s IS NULL")
+    assert all(isinstance(p, ColumnBatch) for p in relation.partitions)
+    assert engine.cluster.ledger.get("columnar.fallback") == 0
+    rows = _text_engine(text, schema, columnar=False).query_rows(
+        "SELECT s, d FROM t WHERE d >= 0 OR s IS NULL"
+    )
+    assert normalize(relation.all_rows()) == normalize(rows)
+    assert (None, None) in rows
+
+
+def test_text_scan_falls_back_to_rows_with_one_tick():
+    """A value the typed storage refuses (an INT beyond int64) keeps the
+    worker's partition as rows, as ``from_rows`` refusing it did."""
+    schema = Schema.of(("a", DataType.INT), ("b", DataType.INT))
+    engine = _text_engine(f"1,2\n{2**70},3\n", schema, columnar=True)
+    relation = engine.execute_distributed("SELECT * FROM t")
+    assert sorted(relation.all_rows()) == [(1, 2), (2**70, 3)]
+    assert engine.cluster.ledger.get("columnar.fallback") == 1
 
 
 # ------------------------------------------------------- channel frame path

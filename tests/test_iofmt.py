@@ -117,6 +117,86 @@ class TestLineBoundaries:
         assert got == lines
 
 
+class PerLineReader(LineRecordReader):
+    """The loop LineRecordReader had before it took lines a buffer at a time
+    (one ``_read_line`` per record) — kept here as the oracle only."""
+
+    def __iter__(self):
+        while self._consumed <= self._split.split_length:
+            line = self._read_line()
+            if line is None:
+                return
+            yield line.decode("utf-8")
+
+
+def read_splits(reader_cls, dfs, path, bounds):
+    """``(lines of every split in file order, ledger delta of reading them)``."""
+    before = dfs.cluster.ledger.snapshot()
+    lines = []
+    for start, end in zip(bounds, bounds[1:]):
+        with reader_cls(dfs, FileSplit(path, start, end - start)) as reader:
+            lines.extend(reader)
+    ledger = dfs.cluster.ledger
+    return lines, ledger.delta(before, ledger.snapshot())
+
+
+LINE = st.one_of(
+    st.text(
+        alphabet=st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)),
+        max_size=12,
+    ),
+    st.just(""),
+    # longer than the reader's 64 KiB buffer, in 1-, 2- and 3-byte characters
+    st.builds(lambda ch, n: ch * n, st.sampled_from("aé✓"), st.integers(66_000, 70_000)),
+)
+
+
+class TestBulkLineSplitting:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lines=st.lists(LINE, max_size=30),
+        trailing_newline=st.booleans(),
+        block_size=st.sampled_from([16, 100, 4096, 70_000]),
+        data=st.data(),
+    )
+    def test_any_bytes_any_splits_match_the_per_line_loop(
+        self, lines, trailing_newline, block_size, data
+    ):
+        """Any file content under any split boundaries (inside a line, inside
+        a multi-byte character, on a newline): every line exactly once, in
+        order, with the same DFS reads as the per-line loop."""
+        content = "\n".join(lines) + ("\n" if trailing_newline and lines else "")
+        raw = content.encode("utf-8")
+        dfs = make_dfs(block_size=block_size)
+        dfs.write_bytes("/any", raw)
+        cuts = data.draw(st.sets(st.integers(0, len(raw)), max_size=6))
+        bounds = sorted(cuts | {0, len(raw)})  # no empty splits
+
+        got, reads = read_splits(LineRecordReader, dfs, "/any", bounds)
+        expected = content.split("\n") if raw else []
+        if content.endswith("\n"):
+            expected.pop()
+        assert got == expected
+        oracle_lines, oracle_reads = read_splits(PerLineReader, dfs, "/any", bounds)
+        assert oracle_lines == expected
+        assert reads == oracle_reads
+        assert bool(reads.get("dfs.read")) == bool(raw)
+
+    def test_split_starting_inside_a_character(self):
+        """The discarded partial first line is never decoded."""
+        dfs = make_dfs()
+        dfs.write_bytes("/mb", "é✓é\nxyz\n".encode("utf-8"))
+        assert list(LineRecordReader(dfs, FileSplit("/mb", 0, 3))) == ["é✓é"]
+        assert list(LineRecordReader(dfs, FileSplit("/mb", 3, 9))) == ["xyz"]
+
+    def test_lines_of_the_next_split_stay_in_the_buffer(self):
+        dfs = make_dfs()
+        dfs.write_text("/f", "aa\nbb\ncc\ndd\n")
+        reader = LineRecordReader(dfs, FileSplit("/f", 0, 4))
+        assert list(reader) == ["aa", "bb"]
+        assert reader._buffer == b"cc\ndd\n"
+
+
 class TestTextInputFormat:
     def test_get_splits_covers_file(self):
         dfs = make_dfs()

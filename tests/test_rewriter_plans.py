@@ -51,6 +51,16 @@ class TestNoCachePlans:
         assert "recode" in plan.inner_sql
         assert "dummy_code" in plan.inner_sql
 
+    def test_rewritten_sql_reads_only_the_prep_querys_columns(self, env):
+        """The prep query sits in a subquery under the transform UDFs: it
+        prunes by its own references, in both passes."""
+        engine, transforms, _c, rewriter = env
+        plan = rewriter.plan(PREP, SPEC)
+        scan = "Scan(carts AS C, columns=[userid, amount, abandoned])"
+        assert scan in engine.explain(plan.pass1_sql)
+        run_pass1(engine, transforms, plan)
+        assert scan in engine.explain(plan.inner_sql)
+
     def test_no_recoding_needed(self, env):
         engine, _t, _c, rewriter = env
         numeric_spec = TransformSpec(label="amount")

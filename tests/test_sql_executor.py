@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster.cluster import make_paper_cluster
 from repro.common.errors import ExecutionError
-from repro.iofmt.text import FileSplit
+from repro.iofmt.inputformat import JobConf
+from repro.iofmt.text import CsvInputFormat, FileSplit
 from repro.sql.engine import BigSQL
 from repro.sql.executor import assign_splits
 from repro.sql.planner import BROADCAST_THRESHOLD_BYTES
@@ -285,6 +286,42 @@ class TestExternalTables:
         )
         with pytest.raises(ExecutionError, match="expected 2 fields"):
             engine.query_rows("SELECT * FROM bad")
+
+    def test_bad_record_names_file_split_and_record(self, engine, dfs):
+        """And fires on the full record: here the missing field is in a
+        column the statement does not read."""
+        good = "".join(f"{i},x,{i}\n" for i in range(20_000))  # two 64 KiB splits
+        dfs.write_text("/ext/ragged.csv", good + "7,y\n")
+        schema = Schema.of(("a", DataType.INT), ("s", DataType.VARCHAR), ("c", DataType.INT))
+        engine.register_external_table("ragged", schema, "/ext/ragged.csv")
+        assert engine.plan("SELECT a FROM ragged").child.columns == (0,)
+        with pytest.raises(ExecutionError) as raised:
+            engine.query_rows("SELECT a FROM ragged")
+        conf = JobConf({"input.path": "/ext/ragged.csv"}, dfs=dfs)
+        fmt = CsvInputFormat()
+        last = fmt.get_splits(conf, engine.num_workers * 2)[-1]
+        with fmt.create_record_reader(last, conf) as reader:
+            records = sum(1 for _ in reader)
+        assert last.start > 0
+        assert str(raised.value) == (
+            f"bad record in ragged: expected 3 fields, got 2 (record {records} of "
+            f"the split of /ext/ragged.csv starting at byte {last.start})"
+        )
+
+    def test_unparsable_and_null_fields_of_a_text_scan(self, engine, dfs):
+        dfs.write_text("/ext/n.csv", "1,,a\n\\N,2.5,\n3,1e3,\\N\n")
+        schema = Schema.of(("i", DataType.INT), ("d", DataType.DOUBLE), ("s", DataType.VARCHAR))
+        engine.register_external_table("n", schema, "/ext/n.csv")
+        assert engine.query_rows("SELECT i, d, s FROM n ORDER BY i") == [
+            (1, None, "a"), (3, 1000.0, None), (None, 2.5, None),
+        ]
+        dfs.write_text("/ext/u.csv", "1,x\n2,y\n")
+        engine.register_external_table(
+            "u", Schema.of(("i", DataType.INT), ("j", DataType.INT)), "/ext/u.csv"
+        )
+        assert engine.query_rows("SELECT i FROM u ORDER BY i") == [(1,), (2,)]  # j is not read
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            engine.query_rows("SELECT j FROM u")
 
     def test_scan_accounting(self, engine, dfs):
         dfs.write_text("/ext/acct.csv", "1\n2\n3\n")

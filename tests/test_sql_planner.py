@@ -166,3 +166,115 @@ class TestPlannerErrors:
             users_carts.plan(
                 "SELECT * FROM TABLE(local_distinct(users, gender)) AS d"
             )
+
+
+def scan_columns(plan) -> dict:
+    """``{binding name: column names its scan produces}``."""
+    return {s.qualifier: s.schema.names for s in find_nodes(plan, LogicalScan)}
+
+
+class TestProjectionPushdown:
+    """A scan keeps the columns some reference of its statement resolves to."""
+
+    def test_paper_prep_query(self, users_carts):
+        text = users_carts.explain(
+            "SELECT U.age, U.gender, C.amount, C.abandoned "
+            "FROM carts C, users U WHERE C.userid = U.userid AND U.country = 'USA'"
+        )
+        assert "Scan(carts AS C, columns=[userid, amount, abandoned])" in text
+        # every column of users is referenced: nothing to show
+        assert "Scan(users AS U, filter=U.country = 'USA')" in text
+
+    def test_scan_schema_and_indices_agree(self, users_carts):
+        (scan,) = find_nodes(
+            users_carts.plan("SELECT abandoned, amount FROM carts"), LogicalScan
+        )
+        assert scan.columns == (2, 4)  # table order, not select-list order
+        assert scan.schema.names == ["amount", "abandoned"]
+        assert [c.qualifier for c in scan.schema] == ["carts", "carts"]
+
+    def test_star_keeps_every_column(self, users_carts):
+        for sql in ("SELECT * FROM users", "SELECT age, * FROM users"):
+            (scan,) = find_nodes(users_carts.plan(sql), LogicalScan)
+            assert scan.columns == (0, 1, 2, 3)
+            assert "columns=" not in scan.describe()
+
+    @pytest.mark.parametrize(
+        "sql,rows",
+        [("SELECT COUNT(*) FROM users", [(5,)]), ("SELECT 1 FROM users", [(1,)] * 5)],
+    )
+    def test_no_reference_keeps_exactly_one_column(self, users_carts, sql, rows):
+        (scan,) = find_nodes(users_carts.plan(sql), LogicalScan)
+        assert scan.columns == (0,)
+        assert users_carts.query_rows(sql) == rows
+
+    def test_count_star_beside_a_join_key(self, users_carts):
+        plan = users_carts.plan(
+            "SELECT COUNT(*) FROM carts C, users U WHERE C.userid = U.userid"
+        )
+        assert scan_columns(plan) == {"C": ["userid"], "U": ["userid"]}
+
+    @pytest.mark.parametrize(
+        "sql,kept",
+        [
+            ("SELECT age FROM users ORDER BY country", ["age", "country"]),
+            ("SELECT COUNT(*) FROM users GROUP BY gender", ["gender"]),
+            (
+                "SELECT gender FROM users GROUP BY gender HAVING MAX(age) > 30",
+                ["age", "gender"],
+            ),
+            ("SELECT age FROM users WHERE country = 'USA'", ["age", "country"]),
+        ],
+    )
+    def test_columns_used_outside_the_select_list_are_kept(self, users_carts, sql, kept):
+        (scan,) = find_nodes(users_carts.plan(sql), LogicalScan)
+        assert scan.schema.names == kept
+        users_carts.query_rows(sql)  # and the plan binds and runs
+
+    def test_left_join_prunes_both_sides_and_keeps_on_columns(self, users_carts):
+        sql = (
+            "SELECT U.age FROM users U LEFT JOIN carts C ON U.userid = C.userid "
+            "WHERE C.cartid IS NULL"
+        )
+        plan = users_carts.plan(sql)
+        assert scan_columns(plan) == {"U": ["userid", "age"], "C": ["cartid", "userid"]}
+        assert users_carts.query_rows(sql) == []
+
+    def test_unqualified_reference_keeps_every_candidate(self, users_carts):
+        """So the ambiguity error is the one an unpruned plan raises."""
+        with pytest.raises(PlanError, match="ambiguous column 'userid'.*U.userid.*C.userid"):
+            users_carts.plan(
+                "SELECT userid FROM users U, carts C WHERE U.userid = C.userid"
+            )
+
+    def test_unknown_column_still_lists_every_candidate(self, users_carts):
+        with pytest.raises(PlanError, match="unknown column 'nocolumn'.*gender VARCHAR"):
+            users_carts.plan("SELECT nocolumn, age FROM users")
+
+    def test_subquery_prunes_by_its_own_references(self, users_carts):
+        plan = users_carts.plan(
+            "SELECT S.age FROM (SELECT age, gender FROM users WHERE country = 'USA') AS S"
+        )
+        assert scan_columns(plan) == {"users": ["age", "gender", "country"]}
+        plan = users_carts.plan("SELECT S.age FROM (SELECT * FROM users) AS S")
+        assert scan_columns(plan) == {"users": ["userid", "age", "gender", "country"]}
+
+    def test_table_function_input_is_unpruned(self, users_carts):
+        from repro.transform import LocalDistinctUDF
+
+        users_carts.register_table_udf(LocalDistinctUDF())
+        plan = users_carts.plan(
+            "SELECT D.colname FROM TABLE(local_distinct(users, 'gender')) AS D"
+        )
+        assert scan_columns(plan) == {"users": ["userid", "age", "gender", "country"]}
+        plan = users_carts.plan(
+            "SELECT D.colname FROM "
+            "TABLE(local_distinct((SELECT gender FROM users), 'gender')) AS D"
+        )
+        assert scan_columns(plan) == {"users": ["gender"]}
+
+    def test_union_all_branches_prune_separately(self, users_carts):
+        plan = users_carts.plan(
+            "SELECT age FROM users UNION ALL SELECT year FROM carts WHERE amount > 1"
+        )
+        assert scan_columns(plan) == {"users": ["age"], "carts": ["amount", "year"]}

@@ -1,7 +1,8 @@
 """Types, schemas, and byte estimation."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import PlanError
 from repro.sql.types import (
@@ -9,6 +10,7 @@ from repro.sql.types import (
     DataType,
     Schema,
     estimate_row_bytes,
+    estimate_rows_bytes,
     estimate_value_bytes,
 )
 
@@ -49,6 +51,29 @@ class TestDataType:
     @given(value=st.booleans())
     def test_boolean_roundtrip(self, value):
         assert DataType.BOOLEAN.parse(DataType.BOOLEAN.render(value)) is value
+
+    FIELD = st.one_of(
+        st.sampled_from(
+            ["", r"\N", " 7", "1_0", "1e3", "nan", "-inf", "+5", "0x1f", "1.", "٣", " t ", "Yes"]
+        ),
+        st.integers().map(str),
+        st.floats().map(repr),
+        st.text(max_size=5),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(dtype=st.sampled_from(list(DataType)), texts=st.lists(FIELD, max_size=8))
+    def test_parse_column_is_parse_per_value(self, dtype, texts):
+        """Same values (NULLs, NaNs and exact types included), and the same
+        exception type on the same inputs; the scan hands in tuples."""
+        try:
+            expected = [dtype.parse(t) for t in texts]
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                dtype.parse_column(tuple(texts))
+            return
+        assert repr(dtype.parse_column(tuple(texts))) == repr(expected)
+        assert repr(dtype.parse_column(texts)) == repr(expected)
 
     def test_is_numeric(self):
         assert DataType.INT.is_numeric
@@ -113,6 +138,43 @@ class TestByteEstimation:
     def test_row_size_additive(self):
         row = (1, "ab", None)
         assert estimate_row_bytes(row) == 2 + 8 + 6 + 1
+
+    class IntSubclass(int):
+        pass
+
+    #: one strategy per column: the wholesale-sized kinds, and every value
+    #: that must stay on the per-value ladder
+    COLUMN_KINDS = [
+        st.integers(),
+        st.floats(),
+        st.one_of(st.integers(), st.floats()),
+        st.text(max_size=9),
+        st.one_of(st.none(), st.text(max_size=9)),
+        st.one_of(st.booleans(), st.integers()),
+        st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(),
+            st.binary(max_size=9),
+            st.integers().map(IntSubclass),
+            st.floats(allow_nan=False).map(np.float64),
+            st.integers(-9, 9).map(np.int64),
+            st.just((1, 2)),
+        ),
+    ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.one_of(
+            st.lists(st.sampled_from(COLUMN_KINDS), max_size=5).flatmap(
+                lambda kinds: st.lists(st.tuples(*kinds), max_size=12)
+            ),
+            # ragged
+            st.lists(st.lists(st.one_of(*COLUMN_KINDS), max_size=4).map(tuple), max_size=8),
+        )
+    )
+    def test_rows_bytes_is_the_sum_of_row_bytes(self, rows):
+        assert estimate_rows_bytes(rows) == sum(estimate_row_bytes(r) for r in rows)
 
     @given(
         row=st.tuples(
