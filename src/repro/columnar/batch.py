@@ -48,6 +48,26 @@ _NUMPY_DTYPE = {
     DataType.VARCHAR: np.int32,  # dictionary codes
 }
 
+# The Python types a column stores without per-value coercion, and the text
+# parsers whose output numpy converts on the fly.
+_EXACT_TYPES = {
+    DataType.INT: {int},
+    DataType.BIGINT: {int},
+    DataType.DOUBLE: {int, float},
+    DataType.BOOLEAN: {bool},
+    DataType.VARCHAR: {str},
+}
+_TEXT_PARSERS = {DataType.INT: int, DataType.BIGINT: int, DataType.DOUBLE: float}
+
+
+def _dictionary_codes(words) -> tuple[np.ndarray, list[str]]:
+    """int32 codes and the dictionary of ``words``, first-occurrence order."""
+    positions = {word: code for code, word in enumerate(dict.fromkeys(words))}
+    codes = np.fromiter(
+        map(positions.__getitem__, words), dtype=np.int32, count=len(words)
+    )
+    return codes, list(positions)
+
 
 def _coerce(dtype: DataType, value):
     """Validate/widen one non-NULL Python value for columnar storage."""
@@ -85,52 +105,25 @@ class ColumnVector:
         cannot represent faithfully — callers fall back to rows.
         """
         n = len(values)
-        if n:
-            # Fast path: a clean, NULL-free column skips per-value _coerce.
-            # ``type(v) is`` (not isinstance) keeps _coerce's strictness —
-            # bool is not an INT and not a DOUBLE operand here; mixed or
-            # NULL-bearing columns take the per-value path below.
+        # Fast path: a clean, NULL-free column skips per-value _coerce.
+        # Exact types (not isinstance) keep _coerce's strictness — bool is
+        # not an INT and not a DOUBLE operand here; mixed, subclassed or
+        # NULL-bearing columns take the per-value path below.
+        if set(map(type, values)) <= _EXACT_TYPES[dtype]:
             if dtype is DataType.VARCHAR:
-                if all(type(v) is str for v in values):
-                    positions: dict[str, int] = {}
-                    setdefault = positions.setdefault
-                    codes = np.fromiter(
-                        (setdefault(v, len(positions)) for v in values),
-                        dtype=np.int32,
-                        count=n,
-                    )
-                    return cls(
-                        dtype, codes, np.ones(n, dtype=np.bool_), list(positions)
-                    )
-            else:
-                if dtype is DataType.DOUBLE:
-                    clean = all(type(v) in (float, int) for v in values)
-                elif dtype is DataType.BOOLEAN:
-                    clean = all(type(v) is bool for v in values)
-                else:
-                    clean = all(type(v) is int for v in values)
-                if clean:
-                    return cls(
-                        dtype,
-                        np.array(values, dtype=_NUMPY_DTYPE[dtype]),
-                        np.ones(n, dtype=np.bool_),
-                    )
+                codes, dictionary = _dictionary_codes(values)
+                return cls(dtype, codes, np.ones(n, dtype=np.bool_), dictionary)
+            return cls(
+                dtype,
+                np.array(values, dtype=_NUMPY_DTYPE[dtype]),
+                np.ones(n, dtype=np.bool_),
+            )
         valid = np.fromiter((v is not None for v in values), dtype=np.bool_, count=n)
         if dtype is DataType.VARCHAR:
-            dictionary: list[str] = []
-            positions: dict[str, int] = {}
-            codes = np.empty(n, dtype=np.int32)
-            for i, value in enumerate(values):
-                if value is None:
-                    codes[i] = -1
-                    continue
-                value = _coerce(dtype, value)
-                position = positions.get(value)
-                if position is None:
-                    position = len(dictionary)
-                    positions[value] = position
-                    dictionary.append(value)
-                codes[i] = position
+            codes = np.full(n, -1, dtype=np.int32)
+            codes[valid], dictionary = _dictionary_codes(
+                [_coerce(dtype, v) for v in values if v is not None]
+            )
             return cls(dtype, codes, valid, dictionary)
         zero = False if dtype is DataType.BOOLEAN else 0
         data = np.fromiter(
@@ -141,13 +134,34 @@ class ColumnVector:
         return cls(dtype, data, valid)
 
     @classmethod
+    def from_texts(cls, dtype: DataType, texts: list[str]) -> "ColumnVector":
+        """``from_values(dtype, dtype.parse_column(texts))`` for one column of
+        CSV fields, without the Python values in between: numerics parse
+        into the array, VARCHAR fields become dictionary codes.  A NULL
+        marker or an unparsable field takes that expression instead; an INT
+        beyond int64 raises ``OverflowError`` either way."""
+        n = len(texts)
+        if dtype is DataType.VARCHAR:
+            codes, dictionary = _dictionary_codes(texts)
+            if "" not in dictionary and r"\N" not in dictionary:
+                return cls(dtype, codes, np.ones(n, dtype=np.bool_), dictionary)
+        elif dtype in _TEXT_PARSERS:
+            try:
+                data = np.fromiter(
+                    map(_TEXT_PARSERS[dtype], texts), dtype=_NUMPY_DTYPE[dtype], count=n
+                )
+                return cls(dtype, data, np.ones(n, dtype=np.bool_))
+            except ValueError:
+                pass
+        return cls.from_values(dtype, dtype.parse_column(texts))
+
+    @classmethod
     def from_dict_codes(
         cls, codes: list[int | None] | np.ndarray, dictionary: list[str]
     ) -> "ColumnVector":
         """Adopt an RCOL1-style dictionary column (``None``/-1 = NULL)."""
-        arr = np.fromiter(
-            (-1 if c is None else c for c in codes), dtype=np.int32, count=len(codes)
-        )
+        as_float = np.asarray(codes, dtype=np.float64)  # None -> nan
+        arr = np.nan_to_num(as_float, nan=-1.0).astype(np.int32)
         return cls(DataType.VARCHAR, arr, arr >= 0, list(dictionary))
 
     def __len__(self) -> int:
@@ -171,19 +185,16 @@ class ColumnVector:
             return [words[c] if ok else None for c, ok in zip(raw, valid)]
         return [v if ok else None for v, ok in zip(raw, valid)]
 
-    def value_bytes(self) -> int:
-        """Seed-formula byte estimate of this column's values
-        (``estimate_value_bytes``: NULL=1, bool=1, int/float=8, str=len+4)."""
-        n = len(self.data)
-        nulls = n - int(self.valid.sum())
+    def value_bytes(self) -> np.ndarray:
+        """Seed-formula byte estimate of each value (``estimate_value_bytes``:
+        NULL=1, bool=1, int/float=8, str=len+4)."""
         if self.dtype is DataType.BOOLEAN:
-            return n  # 1 byte either way
+            return np.ones(len(self.data), dtype=np.int64)  # 1 byte either way
         if self.dtype is DataType.VARCHAR:
-            lens = np.fromiter(
-                (len(w) + 4 for w in self.dictionary or []), dtype=np.int64
-            )
-            return int(lens[self.data[self.valid]].sum()) + nulls
-        return 8 * (n - nulls) + nulls
+            words = self.dictionary or []
+            sizes = np.fromiter(map(len, words), dtype=np.int64, count=len(words)) + 4
+            return np.append(sizes, 1)[np.where(self.valid, self.data, -1)]
+        return np.where(self.valid, 8, 1)
 
 
 class ColumnBatch:
@@ -270,6 +281,10 @@ class ColumnBatch:
         union dictionary (dictionary-sized work, not row-sized)."""
         if len(batches) == 1:
             return batches[0]
+        if not batches:
+            return cls.from_columns(
+                schema, [ColumnVector.from_values(c.dtype, []) for c in schema], 0
+            )
         num_rows = sum(b.num_rows for b in batches)
         vectors = []
         for index, column in enumerate(schema):
@@ -305,10 +320,17 @@ class ColumnBatch:
 
     # ----------------------------------------------------------- accounting
 
+    def row_bytes(self) -> np.ndarray:
+        """The seed ``estimate_row_bytes`` formula (2 per row + per-value
+        estimate) for every row at once."""
+        sizes = np.full(self.num_rows, 2, dtype=np.int64)
+        for column in self.columns:
+            sizes += column.value_bytes()
+        return sizes
+
     def logical_bytes(self) -> int:
-        """Ledger-accountable size: the seed ``estimate_row_bytes`` formula
-        (2 per row + per-value estimate) computed vectorized."""
-        return 2 * self.num_rows + sum(c.value_bytes() for c in self.columns)
+        """Ledger-accountable size: the sum of :meth:`row_bytes`."""
+        return int(self.row_bytes().sum())
 
 
 def batch_to_xy(

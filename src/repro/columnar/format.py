@@ -107,13 +107,15 @@ def decode_partition(data: bytes) -> tuple[list[str], list[tuple]]:
     return names, rows
 
 
-def decode_partition_batch(data: bytes, schema: Schema):
-    """Decode a part file straight into a typed
-    :class:`~repro.columnar.batch.ColumnBatch` — the columnar scan path.
+def decode_partition_batch(data: bytes, schema: Schema, columns):
+    """Decode the ``columns`` (schema positions) of a part file
+    straight into a typed :class:`~repro.columnar.batch.ColumnBatch` — the
+    columnar scan path.
 
     Dictionary-encoded VARCHAR columns *adopt* the file-local dictionary
     (codes are copied, never re-encoded); plain columns land in numpy
-    arrays.  No row tuples are materialized.
+    arrays.  No row tuples are materialized, and no vector is built for a
+    column the scan does not keep.
     """
     from repro.columnar.batch import ColumnBatch, ColumnVector
 
@@ -126,18 +128,20 @@ def decode_partition_batch(data: bytes, schema: Schema):
             f"schema expects {len(schema)}"
         )
     vectors = []
-    for column, doc in zip(schema, document["columns"]):
+    for index in columns:
+        doc = document["columns"][index]
         if doc["encoding"] == "dict":
             vectors.append(ColumnVector.from_dict_codes(doc["codes"], doc["dictionary"]))
         else:
-            vectors.append(ColumnVector.from_values(column.dtype, doc["values"]))
-    batch = ColumnBatch.from_columns(schema, vectors, document["rows"])
+            vectors.append(ColumnVector.from_values(schema.column(index).dtype, doc["values"]))
     if vectors and len(vectors[0]) != document["rows"]:
         raise ExecutionError(
             f"columnar file corrupt: header says {document['rows']} rows, "
             f"decoded {len(vectors[0])}"
         )
-    return batch
+    return ColumnBatch.from_columns(
+        Schema([schema.column(i) for i in columns]), vectors, document["rows"]
+    )
 
 
 def read_partition_dictionary(

@@ -44,6 +44,13 @@ class LineRecordReader(RecordReader):
             self._discard_partial_first_line()
 
     def __iter__(self):
+        for chunk in self.chunks():
+            yield from chunk.split("\n")
+
+    def chunks(self):
+        """The split's lines as decoded runs of whole lines, ``"\\n"`` between
+        the lines of a run and none at its end — what a consumer that cuts
+        fields itself (the SQL text scan) reads in place of line objects."""
         # Hadoop's rule: keep reading while the line *starts* at a position
         # <= the split end (so the line straddling — or starting exactly at —
         # the boundary is read here); the next split's reader discards its
@@ -51,7 +58,7 @@ class LineRecordReader(RecordReader):
         # line of the file is yielded by exactly one reader.
         #
         # Lines are taken a buffer at a time: everything up to a cut is
-        # decoded and split at once.  The cut is the newline of the last line
+        # decoded at once.  The cut is the newline of the last line
         # this split owns (the first newline at or after the split's end) or,
         # while the buffer stops short of that, the buffer's last newline;
         # lines of the next split stay in the buffer.
@@ -68,7 +75,7 @@ class LineRecordReader(RecordReader):
                 continue
             chunk, self._buffer = self._buffer[:cut], self._buffer[cut + 1 :]
             self._consumed += cut + 1
-            yield from chunk.decode("utf-8").split("\n")
+            yield chunk.decode("utf-8")
 
     def close(self) -> None:
         self._reader.close()

@@ -10,17 +10,20 @@ cost model converts into paper-scale seconds.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import Any
+
+import numpy as np
 
 from repro.cluster.cost import CostLedger
 from repro.cluster.node import Node
 from repro.columnar.batch import ColumnBatch, ColumnVector
 from repro.common.errors import ExecutionError
 from repro.iofmt.inputformat import JobConf
-from repro.iofmt.text import CsvInputFormat, FileSplit
+from repro.iofmt.text import FileSplit, TextInputFormat
 from repro.sql import vectorized
-from repro.sql.expressions import Binder, FunctionRegistry, Star
+from repro.sql.expressions import Binder, FunctionRegistry, Literal, Star
 from repro.sql.plan import (
     LogicalAggregate,
     LogicalDistinct,
@@ -36,7 +39,7 @@ from repro.sql.plan import (
 )
 from repro.sql.planner import BROADCAST_THRESHOLD_BYTES
 from repro.sql.table import Table
-from repro.sql.types import Schema, estimate_row_bytes, estimate_rows_bytes
+from repro.sql.types import DataType, Schema, estimate_row_bytes, estimate_rows_bytes
 from repro.sql.udf import UdfContext
 
 
@@ -245,11 +248,8 @@ class Executor:
             )
         if table.external.format == "columnar":
             return self._scan_external_columnar(plan)
-        conf = JobConf(
-            {"input.path": table.external.path, "csv.delimiter": table.external.delimiter},
-            dfs=self._ctx.dfs,
-        )
-        fmt = CsvInputFormat()
+        conf = JobConf({"input.path": table.external.path}, dfs=self._ctx.dfs)
+        fmt = TextInputFormat()
         splits = fmt.get_splits(conf, self._ctx.num_workers * 2)
         assignments = assign_splits(splits, self._ctx.worker_nodes)
         dtypes = [table.schema.column(i).dtype for i in plan.columns]
@@ -257,33 +257,31 @@ class Executor:
         self._ctx.ledger.add("sql.scan", total_bytes)
 
         def read_worker(worker_id: int, worker_splits):
-            """split -> parsed columns -> rows | batch: the rows plane zips
-            each split's columns into tuples, the columnar plane gathers the
-            worker's columns and types them (no tuple stage)."""
+            """split -> text columns -> rows | batch: the rows plane parses
+            and zips each split's columns into tuples, the columnar plane
+            gathers the worker's text columns and types them into vectors
+            (no tuple stage, no Python value per field)."""
             node = self._ctx.worker_nodes[worker_id % len(self._ctx.worker_nodes)]
             worker_conf = JobConf(
                 dict(conf.props, **{"client.ip": node.ip}), dfs=self._ctx.dfs
             )
             rows: list[tuple] = []
-            columns: list[list] = [[] for _ in dtypes]
+            columns: list[list[str]] = [[] for _ in dtypes]
             for split in worker_splits:
                 with fmt.create_record_reader(split, worker_conf) as reader:
-                    parsed = _parse_split(list(reader), plan, split)
+                    texts = _split_columns(reader.chunks(), plan, split)
                 if self._ctx.columnar:
-                    for column, values in zip(columns, parsed):
-                        column += values
+                    for column, fields in zip(columns, texts):
+                        column += fields
                 else:
-                    rows.extend(zip(*parsed))
+                    rows.extend(zip(*map(DataType.parse_column, dtypes, texts)))
             if self._ctx.columnar:
                 try:
-                    vectors = [
-                        ColumnVector.from_values(dtype, column)
-                        for dtype, column in zip(dtypes, columns)
-                    ]
+                    vectors = list(map(ColumnVector.from_texts, dtypes, columns))
                     return ColumnBatch.from_columns(plan.schema, vectors, len(columns[0]))
-                except _VECTOR_FALLBACK_ERRORS:
+                except OverflowError:  # an INT beyond int64: the rows hold it
                     self._count_columnar_fallback()
-                    rows = list(zip(*columns))
+                    rows = list(zip(*map(DataType.parse_column, dtypes, columns)))
             return rows
 
         return self._map_partitions(assignments, read_worker)
@@ -316,11 +314,10 @@ class Executor:
                 batches = []
                 for split in worker_splits:
                     data = self._ctx.dfs.read_bytes(split.path, client_ip=node.ip)
-                    batch = decode_partition_batch(data, table.schema)
-                    kept = [batch.columns[i] for i in plan.columns]
-                    batches.append(ColumnBatch.from_columns(plan.schema, kept, batch.num_rows))
-                if not batches:
-                    return ColumnBatch.from_rows(plan.schema, [])
+                    batch = decode_partition_batch(data, table.schema, plan.columns)
+                    batches.append(
+                        ColumnBatch.from_columns(plan.schema, batch.columns, batch.num_rows)
+                    )
                 return ColumnBatch.concat(plan.schema, batches)
 
             return self._map_partitions(assignments, read_worker_batch)
@@ -451,15 +448,6 @@ class Executor:
     def _exec_join(self, plan: LogicalJoin) -> DistRelation:
         left = self._execute(plan.left)
         right = self._execute(plan.right)
-        left_binder = Binder(left.schema, self._ctx.functions)
-        right_binder = Binder(right.schema, self._ctx.functions)
-        left_key_fns = [k.bind_batch(left_binder) for k in plan.left_keys]
-        right_key_fns = [k.bind_batch(right_binder) for k in plan.right_keys]
-        if not left_key_fns:
-            # Cartesian product: broadcast the smaller side unconditionally.
-            left_key_fns = [lambda rows: [0] * len(rows)]
-            right_key_fns = [lambda rows: [0] * len(rows)]
-
         left_bytes = left.estimated_bytes()
         right_bytes = right.estimated_bytes()
 
@@ -468,29 +456,19 @@ class Executor:
             build_side, build_bytes = "left", left_bytes
         else:
             build_side, build_bytes = "right", right_bytes
+        # None: a shuffle join, which builds on the right whatever the sizes.
+        broadcast_bytes = build_bytes if build_bytes <= BROADCAST_THRESHOLD_BYTES else None
+        if broadcast_bytes is None:
+            build_side = "right"
 
-        if build_bytes <= BROADCAST_THRESHOLD_BYTES:
-            relation = self._broadcast_join(
-                plan, left, right, left_key_fns, right_key_fns, build_side, build_bytes
-            )
-        else:
-            relation = self._shuffle_join(
-                plan, left, right, left_key_fns, right_key_fns
-            )
-
+        relation = None
         if self._ctx.columnar:
-            # Joins build/probe over row tuples; re-enter the columnar plane
-            # at their output so everything downstream (projections, UDFs,
-            # the stream sender) vectorizes again.
-            relation = DistRelation(
-                schema=relation.schema,
-                partitions=[
-                    p
-                    if isinstance(p, ColumnBatch)
-                    else self._to_batch(relation.schema, p)
-                    for p in relation.partitions
-                ],
-            )
+            try:
+                relation = self._array_join(plan, left, right, build_side, broadcast_bytes)
+            except (vectorized.VectorFallback, *_VECTOR_FALLBACK_ERRORS):
+                self._count_columnar_fallback()
+        if relation is None:
+            relation = self._tuple_join(plan, left, right, build_side, broadcast_bytes)
 
         if plan.residual is not None:
             if plan.kind == "left":
@@ -499,6 +477,84 @@ class Executor:
                 )
             relation = self._apply_filter(relation, plan.residual)
         return relation
+
+    def _array_join(self, plan, left, right, build_side, broadcast_bytes) -> DistRelation:
+        """The columnar plane's join (DESIGN §10): key arrays in, gathered
+        columns out, no row tuple in between.  A broadcast join probes each
+        probe-side partition against the one :class:`_JoinIndex`; a shuffle
+        join first re-buckets the probe side by ``hash(key) % n`` and charges
+        both sides' moved bytes.  Its build side is probed whole: equal keys
+        hash to the same slot, so slot *t* finds exactly the build rows a
+        physical shuffle would have sent there, in the same order."""
+        n = self._ctx.num_workers
+        build, probe = (left, right) if build_side == "left" else (right, left)
+        build_keys, probe_keys = (
+            (plan.left_keys, plan.right_keys)
+            if build_side == "left"
+            else (plan.right_keys, plan.left_keys)
+        )
+        # A cartesian product joins on the constant 0, as the tuple join does.
+        build_key_fn = vectorized.compile_columns(build_keys or [Literal(0)], build.schema)
+        probe_key_fn = vectorized.compile_columns(probe_keys or [Literal(0)], probe.schema)
+        if build_key_fn is None or probe_key_fn is None:
+            raise vectorized.VectorFallback("join key without a vector kernel")
+        if not all(isinstance(p, ColumnBatch) for p in left.partitions + right.partitions):
+            raise vectorized.VectorFallback("join input left the columnar plane")
+
+        whole = ColumnBatch.concat(build.schema, build.partitions)
+        index = _JoinIndex(whole, build_key_fn(whole), outer=plan.kind == "left")
+        probe_parts = probe.partitions
+        if broadcast_bytes is None:
+
+            def placement(side, key_fn) -> tuple[list, int]:
+                # each partition's slots; bytes of the rows that change slot
+                slots = [_hash_slots(key_fn(p), n) for p in side.partitions]
+                moved = sum(
+                    int(p.row_bytes()[slot != source].sum())
+                    for source, (p, slot) in enumerate(zip(side.partitions, slots))
+                )
+                return slots, moved
+
+            probe_slots, probe_moved = placement(probe, probe_key_fn)
+            charges = [placement(build, build_key_fn)[1], probe_moved]
+            probe_parts = [
+                ColumnBatch.concat(
+                    probe.schema,
+                    [p.filter(slot == target) for p, slot in zip(probe_parts, probe_slots)],
+                )
+                for target in range(n)
+            ]
+        else:
+            charges = [broadcast_bytes * max(n - 1, 0)]
+
+        def probe_partition(_w: int, partition: ColumnBatch) -> ColumnBatch:
+            probe_rows, build_rows = index.match(probe_key_fn(partition))
+            mine = partition.take(probe_rows).columns
+            other = index.batch.take(build_rows).columns
+            columns = mine + other if build_side == "right" else other + mine
+            return ColumnBatch.from_columns(plan.schema, columns, len(probe_rows))
+
+        partitions = self._map_partitions(probe_parts, probe_partition)
+        for moved in charges:  # only once nothing can fall back any more
+            self._ctx.ledger.add("sql.shuffle", moved)
+        return DistRelation(schema=plan.schema, partitions=partitions)
+
+    def _tuple_join(self, plan, left, right, build_side, broadcast_bytes) -> DistRelation:
+        """The rows plane's hash join over key tuples (and the columnar
+        plane's fallback for key expressions without a vector kernel)."""
+        left_binder = Binder(left.schema, self._ctx.functions)
+        right_binder = Binder(right.schema, self._ctx.functions)
+        left_key_fns = [k.bind_batch(left_binder) for k in plan.left_keys]
+        right_key_fns = [k.bind_batch(right_binder) for k in plan.right_keys]
+        if not left_key_fns:
+            # Cartesian product: every row joins on the constant 0.
+            left_key_fns = [lambda rows: [0] * len(rows)]
+            right_key_fns = [lambda rows: [0] * len(rows)]
+        if broadcast_bytes is None:
+            return self._shuffle_join(plan, left, right, left_key_fns, right_key_fns)
+        return self._broadcast_join(
+            plan, left, right, left_key_fns, right_key_fns, build_side, broadcast_bytes
+        )
 
     def _broadcast_join(
         self, plan, left, right, left_key_fns, right_key_fns, build_side, build_bytes
@@ -585,12 +641,14 @@ class Executor:
         moved_bytes = 0
         for source, partition in enumerate(relation.partitions):
             rows = partition_rows(partition)
+            moved: list[tuple] = []
             for row, key in zip(rows, _batch_key_tuples(key_fns, rows)):
                 target = hash(key) % n
                 if target != source:
-                    moved_bytes += estimate_row_bytes(row)
+                    moved.append(row)
                 buckets[target].append(row)
                 key_buckets[target].append(key)
+            moved_bytes += estimate_rows_bytes(moved)
         self._ctx.ledger.add("sql.shuffle", moved_bytes)
         return buckets, key_buckets
 
@@ -770,24 +828,145 @@ class Executor:
         return DistRelation(schema=plan.schema, partitions=partitions)
 
 
-def _parse_split(records: list[list[str]], plan: LogicalScan, split: FileSplit) -> list[list]:
-    """The scan's columns of one split's text records, parsed: every record
-    is checked against the table's full width (so a malformed field fails
-    the scan even in a pruned column), then the records are pivoted once and
-    the kept columns parsed, one pass each.  The caller keeps no reference to
-    ``records``, so a split's text is gone before the next split is read."""
-    schema = plan.table.schema
-    if set(map(len, records)) - {len(schema)}:
-        index, fields = next(
-            (i, f) for i, f in enumerate(records, 1) if len(f) != len(schema)
+class _JoinIndex:
+    """The build side of an array join: its key columns factorised into one
+    int64 code per row — mixed radix over the key positions, a VARCHAR part
+    being its dictionary code and a numeric part its rank among the build's
+    distinct values — and the codes stably argsorted once, so a probe is two
+    ``searchsorted`` calls and rows of equal key keep build order.  A row
+    with a NULL (or NaN) key part has no code and never matches."""
+
+    def __init__(self, batch: ColumnBatch, keys: list, outer: bool):
+        self._domains = [
+            {word: code for code, word in enumerate(dict.fromkeys(key.dictionary))}
+            if key.dictionary is not None
+            else np.unique(key.values)
+            for key in keys
+        ]
+        codes = self._codes(keys)
+        order = np.argsort(codes, kind="stable")[np.count_nonzero(codes < 0) :]
+        self._sorted = codes[order]
+        # One slot past the sorted rows stands for "no match": the all-NULL
+        # row a LEFT JOIN appends to the build side.
+        self._order = np.append(order, batch.num_rows)
+        self._outer = outer
+        if outer:
+            null_row = [ColumnVector.from_values(c.dtype, [None]) for c in batch.schema]
+            batch = ColumnBatch.concat(
+                batch.schema, [batch, ColumnBatch.from_columns(batch.schema, null_row, 1)]
+            )
+        self.batch = batch
+
+    def _codes(self, keys: list) -> np.ndarray:
+        """The build-side code of every row's key, -1 where a key part is
+        NULL or is no build-side value."""
+        codes = np.zeros(len(keys[0].values), dtype=np.int64)
+        matched = np.ones(len(codes), dtype=np.bool_)
+        radix = 1
+        for key, domain in zip(keys, self._domains):
+            if isinstance(domain, dict) != (key.dictionary is not None):
+                raise vectorized.VectorFallback("VARCHAR key joined to a non-VARCHAR key")
+            if isinstance(domain, dict):
+                lookup = np.fromiter(
+                    (domain.get(word, -1) for word in key.dictionary),
+                    dtype=np.int64,
+                    count=len(key.dictionary),
+                )
+                part = np.append(lookup, -1)[np.where(key.valid, key.values, -1)]
+            elif not len(domain):
+                part = np.full(len(codes), -1)
+            else:
+                _refuse_inexact_comparison(domain, key.values)
+                rank = np.searchsorted(domain, key.values).clip(max=len(domain) - 1)
+                part = np.where(key.valid & (domain[rank] == key.values), rank, -1)
+            size = max(len(domain), 1)
+            radix *= size
+            if radix >= 2**62:
+                raise vectorized.VectorFallback("join key space exceeds int64")
+            codes = codes * size + part
+            matched &= part >= 0
+        return np.where(matched, codes, -1)
+
+    def match(self, keys: list) -> tuple[np.ndarray, np.ndarray]:
+        """``(probe row, build row)`` index pairs of the join, in probe
+        order and then build order.  An outer join pairs an unmatched probe
+        row with the NULL row, once."""
+        codes = self._codes(keys)
+        first = np.searchsorted(self._sorted, codes, "left")
+        counts = np.searchsorted(self._sorted, codes, "right") - first
+        first[counts == 0] = len(self._sorted)
+        if self._outer:
+            counts = np.maximum(counts, 1)
+        probe_rows = np.repeat(np.arange(len(codes)), counts)
+        run_starts = np.cumsum(counts) - counts
+        within_run = np.arange(len(probe_rows)) - np.repeat(run_starts, counts)
+        return probe_rows, self._order[np.repeat(first, counts) + within_run]
+
+
+def _refuse_inexact_comparison(a: np.ndarray, b: np.ndarray) -> None:
+    """numpy compares int64 with float64 in float64, Python compares them
+    exactly: past 2**53 the two disagree, so the tuple join takes over."""
+    if {a.dtype.kind, b.dtype.kind} == {"i", "f"}:
+        ints = a if a.dtype.kind == "i" else b
+        if len(ints) and max(-int(ints.min()), int(ints.max())) > 2**53:
+            raise vectorized.VectorFallback("INT = DOUBLE join key beyond 2**53")
+
+
+def _hash_slots(keys: list, n: int) -> np.ndarray:
+    """``hash(key_tuple) % n`` of every row — the tuple shuffle's placement —
+    hashed once per *distinct* key and spread through the inverse codes."""
+    codes = np.zeros(len(keys[0].values), dtype=np.int64)
+    domains = []
+    for key in keys:
+        if key.dictionary is not None:
+            values, part = list(key.dictionary), key.values
+        else:
+            uniques, part = np.unique(key.values, return_inverse=True)
+            values = uniques.tolist()
+        values.append(None)  # the NULL of this key position: its last code
+        if len(values) * (int(codes.max(initial=0)) + 1) >= 2**62:
+            raise vectorized.VectorFallback("join key space exceeds int64")
+        codes = codes * len(values) + np.where(key.valid, part, len(values) - 1)
+        domains.append(values)
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    parts = []
+    for values in reversed(domains):
+        distinct, digits = np.divmod(distinct, len(values))
+        parts.append([values[d] for d in digits.tolist()])
+    slots = np.fromiter(
+        (hash(key) % n for key in zip(*reversed(parts))), dtype=np.int64, count=len(distinct)
+    )
+    return slots[inverse]
+
+
+def _split_columns(chunks, plan: LogicalScan, split: FileSplit) -> list[list[str]]:
+    """The scan's columns of one split's text, unparsed.  Blank lines are
+    dropped and every line's delimiter count is checked against the table's
+    full width (so a malformed record fails the scan even in a pruned
+    column); then the split is cut into fields in one flat pass — delimiters
+    become newlines, which no line contains, so a multi-character delimiter
+    cannot match across two lines — and column *i* is every ``width``-th
+    field from *i*.  Nothing of the split but the kept columns survives the
+    call."""
+    delimiter, width = plan.table.external.delimiter, len(plan.table.schema)
+    text = "\n".join(chunks)
+    lines = text.split("\n")
+    if "" in lines:
+        lines = list(filter(None, lines))
+        text = "\n".join(lines)
+    if set(map(str.count, lines, repeat(delimiter))) - {width - 1}:
+        index, got = next(
+            (i, line.count(delimiter) + 1)
+            for i, line in enumerate(lines, 1)
+            if line.count(delimiter) != width - 1
         )
         raise ExecutionError(
-            f"bad record in {plan.table.name}: expected {len(schema)} fields, "
-            f"got {len(fields)} (record {index} of the split of {split.path} "
+            f"bad record in {plan.table.name}: expected {width} fields, "
+            f"got {got} (record {index} of the split of {split.path} "
             f"starting at byte {split.start})"
         )
-    texts = list(zip(*records)) or [()] * len(schema)
-    return [schema.column(i).dtype.parse_column(texts[i]) for i in plan.columns]
+    fields = text.replace(delimiter, "\n").split("\n") if lines else []
+    return [fields[i::width] for i in plan.columns]
 
 
 def _project_rows(rows: list[tuple], columns, width: int) -> list[tuple]:

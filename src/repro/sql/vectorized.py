@@ -571,20 +571,27 @@ def compile_projection(
     return kernel
 
 
+def compile_columns(
+    exprs: list[Expr], schema: Schema
+) -> Callable[[ColumnBatch], list[VCol]] | None:
+    """Compile expressions to ``batch -> [VCol, ...]`` (the join's key
+    arrays), or None if any expression is unsupported."""
+    kernels = [_compile(e, schema) for e in exprs]
+    if any(k is None for k in kernels):
+        return None
+    return lambda batch: [fn(batch) for fn in kernels]
+
+
 def compile_value_lists(
     exprs: list[Expr], schema: Schema
 ) -> Callable[[ColumnBatch], list[list]] | None:
     """Compile expressions to ``batch -> [python value column, ...]`` —
     vectorized evaluation with a row-compatible output, used for group
     keys and aggregate arguments feeding hash-based operators."""
-    kernels = [_compile(e, schema) for e in exprs]
-    if any(k is None for k in kernels):
+    columns = compile_columns(exprs, schema)
+    if columns is None:
         return None
-
-    def kernel(batch: ColumnBatch) -> list[list]:
-        return [fn(batch).to_pylist() for fn in kernels]
-
-    return kernel
+    return lambda batch: [vcol.to_pylist() for vcol in columns(batch)]
 
 
 def compile_global_aggregate(

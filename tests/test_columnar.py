@@ -1,5 +1,7 @@
 """Columnar format: roundtrip, SQL scans, and §2.1's dictionary argument."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -184,6 +186,37 @@ class TestSqlOverColumnar:
         assert result.ml_result.dataset.count() == 120
         labels = {lp.label for lp in result.ml_result.dataset.collect()}
         assert labels == {0.0, 1.0}
+
+    def test_columnar_plane_scan_decodes_only_the_kept_columns(self, cluster, dfs, monkeypatch):
+        """One vector per kept column per part file — none for a pruned one —
+        and the row-count corruption check runs on the first kept column."""
+        from repro.columnar.batch import ColumnVector
+        from repro.sql.engine import BigSQL
+
+        rows = [(i, "FM"[i % 2], float(i), ["Yes", "No"][i % 2]) for i in range(40)]
+        write_table(dfs, "/pr/col", SCHEMA, [rows[i::4] for i in range(4)])  # one per slot
+        engine = BigSQL(cluster, dfs, columnar=True)
+        engine.register_external_table("pr", SCHEMA, "/pr/col", format="columnar")
+        built = []
+        for name in ("from_values", "from_dict_codes"):
+            original = getattr(ColumnVector, name)
+
+            def counted(*args, _original=original, _name=name):
+                built.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(ColumnVector, name, counted)
+        result = engine.query_rows("SELECT gender, amount FROM pr")
+        assert sorted(result) == sorted((g, m) for _a, g, m, _ab in rows)
+        assert sorted(built) == ["from_dict_codes"] * 4 + ["from_values"] * 4
+        assert engine.cluster.ledger.get("columnar.fallback") == 0
+
+        document = json.loads(dfs.read_bytes("/pr/col/part-00000.rcol"))
+        document["rows"] += 1
+        dfs.delete("/pr/col/part-00000.rcol")
+        dfs.write_bytes("/pr/col/part-00000.rcol", json.dumps(document).encode("utf-8"))
+        with pytest.raises(ExecutionError, match="header says 11 rows, decoded 10"):
+            engine.query_rows("SELECT amount FROM pr")
 
     def test_unknown_format_rejected(self, engine):
         with pytest.raises(CatalogError, match="unknown external format"):

@@ -13,16 +13,20 @@ never *what* arrives:
    from an ArrayDataset built without a single LabeledPoint allocation.
 """
 
+import sqlite3
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import repro.sql.executor as executor_module
 from repro import make_deployment
 from repro.cluster.cluster import make_paper_cluster
 from repro.columnar.batch import ColumnBatch, batch_to_xy
 from repro.hdfs.filesystem import DistributedFileSystem
 from repro.ml.dataset import ArrayDataset, LabeledPoint
 from repro.sql.engine import BigSQL
+from repro.sql.executor import partition_rows
 from repro.sql.types import DataType, Schema
 from repro.transfer.buffers import (
     block_logical_bytes,
@@ -32,6 +36,7 @@ from repro.transfer.buffers import (
     encode_col_block,
 )
 from repro.transfer.channel import ChannelId, StreamChannel
+from repro.transform.spec import TransformSpec
 from repro.workloads import generate_retail
 
 from tests.test_sql_differential import (
@@ -135,6 +140,117 @@ def test_columnar_executor_matches_row_executor(sql, data):
         assert columnar == row, f"order disagreement on: {sql}"
     else:
         assert normalize(columnar) == normalize(row), f"disagreement on: {sql}"
+
+
+# ------------------------------------------------------------- join kernel
+
+A_SCHEMA = Schema.of(("k", DataType.INT), ("s", DataType.VARCHAR), ("x", DataType.INT))
+B_SCHEMA = Schema.of(
+    ("k", DataType.INT), ("s", DataType.VARCHAR), ("y", DataType.INT), ("f", DataType.DOUBLE)
+)
+_KEY = st.one_of(st.none(), st.integers(0, 5))
+_WORD = st.sampled_from([None, "a", "b", "é", "p0", "p1", "p2", "p3"])
+_SMALL = st.integers(-3, 3)
+_A_ROWS = st.lists(st.tuples(_KEY, _WORD, _SMALL), max_size=24)
+_B_ROWS = st.lists(
+    st.tuples(_KEY, _WORD, _SMALL, st.one_of(st.none(), st.sampled_from([0.0, 1.0, 2.5, 4.0]))),
+    max_size=12,
+)
+# In-memory rows land round-robin on 4 slots: every slot of `a` has its own
+# one-word dictionary here, and `b` holds the words in yet another order.
+_DISJOINT_A = [(i % 3, f"p{i % 4}", i) for i in range(16)]
+_DISJOINT_B = [(i % 3, f"p{3 - i % 4}", -i, float(i % 3)) for i in range(8)]
+
+JOIN_QUERIES = [
+    "SELECT a.k, a.x, b.y FROM a JOIN b ON a.k = b.k",  # NULL and duplicate keys
+    "SELECT a.s, a.x, b.s, b.y FROM a JOIN b ON a.s = b.s",  # dictionaries
+    "SELECT a.k, a.x, b.f, b.y FROM a JOIN b ON a.k = b.f",  # INT = DOUBLE
+    "SELECT a.k, a.s, a.x, b.y FROM a JOIN b ON a.k = b.k AND a.s = b.s",
+    "SELECT a.k, a.x, b.k, b.s, b.y FROM a LEFT JOIN b ON a.k = b.k",
+    "SELECT a.s, a.x, b.y, b.f FROM a LEFT JOIN b ON a.s = b.s AND a.k = b.k",
+    "SELECT a.k, a.x, b.y FROM a JOIN b ON a.k = b.k AND a.x > b.y",  # residual
+    "SELECT a.x, b.y FROM a, b",  # cartesian product
+]
+
+
+def _join_partitions(a_rows, b_rows, sql, columnar):
+    """Per-slot output rows and the statement's ``sql.shuffle`` charge."""
+    engine = BigSQL(make_paper_cluster(), columnar=columnar)
+    engine.create_table("a", A_SCHEMA, a_rows)
+    engine.create_table("b", B_SCHEMA, b_rows)
+    relation = engine.execute_distributed(sql)
+    ledger = engine.cluster.ledger
+    assert ledger.get("columnar.fallback") == 0
+    if columnar:
+        assert all(isinstance(p, ColumnBatch) for p in relation.partitions)
+    return [list(partition_rows(p)) for p in relation.partitions], ledger.get("sql.shuffle")
+
+
+def _join_sqlite(a_rows, b_rows, sql):
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.execute("CREATE TABLE a (k INTEGER, s TEXT, x INTEGER)")
+        conn.execute("CREATE TABLE b (k INTEGER, s TEXT, y INTEGER, f REAL)")
+        conn.executemany("INSERT INTO a VALUES (?,?,?)", a_rows)
+        conn.executemany("INSERT INTO b VALUES (?,?,?,?)", b_rows)
+        return [tuple(r) for r in conn.execute(sql).fetchall()]
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("threshold", [64 * 1024 * 1024, -1], ids=["broadcast", "shuffle"])
+@pytest.mark.parametrize("sql", JOIN_QUERIES, ids=range(len(JOIN_QUERIES)))
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(a_rows=_A_ROWS, b_rows=_B_ROWS)
+@example(a_rows=_DISJOINT_A, b_rows=_DISJOINT_B)
+@example(a_rows=_DISJOINT_A, b_rows=[])
+@example(a_rows=[], b_rows=_DISJOINT_B)
+def test_array_join_matches_tuple_join_and_sqlite(sql, threshold, a_rows, b_rows):
+    """The join kernel against both oracles, as a broadcast and as a
+    shuffle join: SQLite's rows as a multiset, and the tuple join's rows
+    slot by slot in its order, with its ``sql.shuffle`` charge."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(executor_module, "BROADCAST_THRESHOLD_BYTES", threshold)
+        array_parts, array_shuffle = _join_partitions(a_rows, b_rows, sql, columnar=True)
+        tuple_parts, tuple_shuffle = _join_partitions(a_rows, b_rows, sql, columnar=False)
+    assert array_parts == tuple_parts
+    assert array_shuffle == tuple_shuffle
+    flat = [row for part in array_parts for row in part]
+    assert normalize(flat) == normalize(_join_sqlite(a_rows, b_rows, sql))
+
+
+def test_join_key_without_a_kernel_takes_the_tuple_join_with_one_tick():
+    """COALESCE has no vector kernel: the tuple join runs, charged once."""
+    sql = "SELECT a.x, b.y FROM a JOIN b ON COALESCE(a.k, 0) = b.k"
+    engine = BigSQL(make_paper_cluster(), columnar=True)
+    engine.create_table("a", A_SCHEMA, _DISJOINT_A + [(None, "n", 99)])
+    engine.create_table("b", B_SCHEMA, _DISJOINT_B)
+    relation = engine.execute_distributed(sql)
+    # the projection re-enters the plane; only the join fell back
+    assert engine.cluster.ledger.get("columnar.fallback") == 1
+    expected = _join_sqlite(_DISJOINT_A + [(None, "n", 99)], _DISJOINT_B, sql)
+    assert normalize(relation.all_rows()) == normalize(expected)
+
+
+def test_int_double_keys_beyond_2_53_take_the_tuple_join():
+    """numpy would compare 2**53 + 1 with 2.0**53 in float64 and call them
+    equal; Python, SQLite and the tuple join do not."""
+    big = 2**53
+    sql = "SELECT a.x, b.y FROM a JOIN b ON a.k = b.f"
+    a_rows, b_rows = [(big + 1, "a", 1), (big, "a", 2)], [(0, "b", 3, float(big))]
+    engine = BigSQL(make_paper_cluster(), columnar=True)
+    wide_a = Schema.of(("k", DataType.BIGINT), ("s", DataType.VARCHAR), ("x", DataType.INT))
+    engine.create_table("a", wide_a, a_rows)
+    engine.create_table("b", B_SCHEMA, b_rows)
+    assert engine.query_rows(sql) == _join_sqlite(a_rows, b_rows, sql) == [(2, 3)]
+    assert engine.cluster.ledger.get("columnar.fallback") == 1
+
+
+def test_concat_of_no_batches_is_an_empty_batch():
+    batch = ColumnBatch.concat(B_SCHEMA, [])
+    assert batch.num_rows == 0 and batch.to_rows() == []
+    assert [c.dtype for c in batch.columns] == [c.dtype for c in B_SCHEMA]
+    assert batch.columns[1].dictionary == []
 
 
 def _text_engine(text, schema, columnar):
@@ -247,6 +363,41 @@ def _run_pipeline(columnar):
         wl.prep_sql, wl.spec, command="svm_with_sgd", args={"iterations": 3}
     )
     return dep, result
+
+
+@pytest.mark.parametrize("transport", ["memory", "socket"])
+def test_columnar_pipeline_builds_no_row_tuple(monkeypatch, transport):
+    """scan -> filter -> join -> project -> transform UDFs -> ``C`` frame ->
+    ``batch_to_xy``: the retail prep query and its two follow-ups reach the
+    trainer without one pivot into or out of row tuples, on either transport."""
+    _dep, row_result = _run_pipeline(columnar=False)
+    dep = make_deployment(columnar=True, transport=transport)
+    wl = generate_retail(dep.engine, dep.dfs, num_users=80, num_carts=600)
+    pivots = []
+
+    def forbidden(*args, **kwargs):
+        pivots.append(args)
+        pytest.fail("the columnar plane pivoted through row tuples")
+
+    monkeypatch.setattr(ColumnBatch, "to_rows", forbidden)
+    monkeypatch.setattr(ColumnBatch, "from_rows", forbidden)
+    subset_spec = TransformSpec(recode=("abandoned",), dummy=(), label="abandoned")
+    results = [
+        dep.pipeline.run_insql_stream(
+            sql, spec, command="svm_with_sgd", args={"iterations": 3}
+        )
+        for sql, spec in (
+            (wl.prep_sql, wl.spec),
+            (wl.subset_sql, subset_spec),  # the subset does not select gender
+            (wl.recode_reuse_sql, wl.spec),
+        )
+    ]
+    assert pivots == []  # also when a thread swallowed the failure
+    assert dep.cluster.ledger.get("columnar.fallback") == 0
+    assert all(isinstance(r.ml_result.dataset, ArrayDataset) for r in results)
+    np.testing.assert_allclose(
+        results[0].ml_result.model.weights, row_result.ml_result.model.weights, rtol=1e-12
+    )
 
 
 def test_columnar_pipeline_end_to_end():

@@ -1,16 +1,19 @@
 """Executor: operator correctness against Python-computed references."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster.cluster import make_paper_cluster
 from repro.common.errors import ExecutionError
+from repro.hdfs.filesystem import DistributedFileSystem
 from repro.iofmt.inputformat import JobConf
-from repro.iofmt.text import CsvInputFormat, FileSplit
+from repro.iofmt.text import CsvInputFormat, FileSplit, LineRecordReader
 from repro.sql.engine import BigSQL
-from repro.sql.executor import assign_splits
+from repro.sql.executor import _split_columns, assign_splits
 from repro.sql.planner import BROADCAST_THRESHOLD_BYTES
 from repro.sql.types import DataType, Schema
+
+from tests.test_iofmt import PerLineReader
 
 
 class TestBasicQueries:
@@ -332,6 +335,83 @@ class TestExternalTables:
         engine.query_rows("SELECT * FROM acct")
         delta = engine.cluster.ledger.delta(before, engine.cluster.ledger.snapshot())
         assert delta["sql.scan"] == 6
+
+
+def per_line_columns(dfs, split, delimiter, width, kept):
+    """What the scan cut before it split flat: one ``line.split`` per
+    non-blank line, a width check per record, one pivot — the oracle."""
+    with PerLineReader(dfs, split) as reader:
+        records = [line.split(delimiter) for line in reader if line]
+    for index, record in enumerate(records, 1):
+        if len(record) != width:
+            return (
+                f"bad record in flat: expected {width} fields, got {len(record)} "
+                f"(record {index} of the split of {split.path} starting at byte {split.start})"
+            )
+    return [[record[i] for record in records] for i in kept]
+
+
+class TestFlatSplit:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        delimiter=st.sampled_from([",", "|", "||", "::", ",|"]),
+        width=st.integers(1, 4),
+        # field text holds pieces of every delimiter and 2-/3-byte characters
+        fields=st.lists(st.text(alphabet="a7é✓ ,|:", max_size=3), max_size=24),
+        blanks=st.lists(st.integers(0, 8), max_size=3),
+        ragged=st.one_of(st.none(), st.tuples(st.integers(0, 8), st.booleans())),
+        trailing_newline=st.booleans(),
+        kept_mask=st.integers(1, 15),
+    )
+    # a field ending in half a delimiter: "a|" + "||" + "b" must not cut as "a" + "|b"
+    @example(
+        delimiter="||", width=2, fields=["a|", "b", "|c", "d|"], blanks=[1], ragged=None,
+        trailing_newline=True, kept_mask=3,
+    )
+    def test_flat_split_matches_the_per_line_split(
+        self, delimiter, width, fields, blanks, ragged, trailing_newline, kept_mask
+    ):
+        """Blank lines, a ragged record at any position, non-ASCII fields,
+        multi-character delimiters, and every split boundary of the file:
+        the same columns, or the same error naming file, split and record."""
+        clean = []
+        for field in fields:
+            while delimiter in field:
+                field = field.replace(delimiter, "")
+            clean.append(field)
+        records = [clean[i : i + width] for i in range(0, len(clean) - width + 1, width)]
+        if ragged is not None and records:
+            at, longer = ragged
+            record = records[at % len(records)]
+            records[at % len(records)] = record + ["x"] if longer else record[:-1]
+        lines = [delimiter.join(record) for record in records]
+        for at in blanks:
+            lines.insert(at % (len(lines) + 1), "")
+        raw = ("\n".join(lines) + ("\n" if trailing_newline and lines else "")).encode("utf-8")
+
+        cluster = make_paper_cluster()
+        dfs = DistributedFileSystem(cluster, block_size=32)
+        dfs.write_bytes("/flat.csv", raw)
+        engine = BigSQL(cluster, dfs)
+        schema = Schema.of(*((f"c{i}", DataType.VARCHAR) for i in range(width)))
+        engine.register_external_table("flat", schema, "/flat.csv", delimiter=delimiter)
+        kept = [i for i in range(width) if kept_mask >> i & 1] or [0]
+        scan = engine.plan("SELECT " + ", ".join(f"c{i}" for i in kept) + " FROM flat").child
+        assert scan.columns == tuple(kept)
+
+        for cut in range(len(raw) + 1):
+            for start, end in ((0, cut), (cut, len(raw))):
+                if start == end:
+                    continue
+                split = FileSplit("/flat.csv", start, end - start)
+                expected = per_line_columns(dfs, split, delimiter, width, kept)
+                with LineRecordReader(dfs, split) as reader:
+                    if isinstance(expected, str):
+                        with pytest.raises(ExecutionError) as raised:
+                            _split_columns(reader.chunks(), scan, split)
+                        assert str(raised.value) == expected
+                    else:
+                        assert _split_columns(reader.chunks(), scan, split) == expected
 
 
 class TestSplitAssignment:
