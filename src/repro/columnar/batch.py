@@ -58,6 +58,14 @@ _EXACT_TYPES = {
     DataType.VARCHAR: {str},
 }
 _TEXT_PARSERS = {DataType.INT: int, DataType.BIGINT: int, DataType.DOUBLE: float}
+_NULL_MARKERS = ("", r"\N")  # the fields DataType.parse reads as NULL
+# Widest field, in bytes, the byte kernel types exactly: 18 digits fit an
+# int64, 15 digits are an integer below 2**53 (exact in a float64), and the
+# 8 bytes of a word pack into one uint64.
+_MAX_FIELD_BYTES = {
+    DataType.INT: 18, DataType.BIGINT: 18, DataType.DOUBLE: 15, DataType.VARCHAR: 8,
+}
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
 def _dictionary_codes(words) -> tuple[np.ndarray, list[str]]:
@@ -137,15 +145,19 @@ class ColumnVector:
     def from_texts(cls, dtype: DataType, texts: list[str]) -> "ColumnVector":
         """``from_values(dtype, dtype.parse_column(texts))`` for one column of
         CSV fields, without the Python values in between: numerics parse
-        into the array, VARCHAR fields become dictionary codes.  A NULL
-        marker or an unparsable field takes that expression instead; an INT
-        beyond int64 raises ``OverflowError`` either way."""
+        into the array, VARCHAR fields become dictionary codes (-1 for a
+        NULL marker).  A numeric column with a NULL marker or an unparsable
+        field takes that expression instead; an INT beyond int64 raises
+        ``OverflowError`` either way."""
         n = len(texts)
         if dtype is DataType.VARCHAR:
             codes, dictionary = _dictionary_codes(texts)
-            if "" not in dictionary and r"\N" not in dictionary:
-                return cls(dtype, codes, np.ones(n, dtype=np.bool_), dictionary)
-        elif dtype in _TEXT_PARSERS:
+            word = np.array([w not in _NULL_MARKERS for w in dictionary], dtype=np.bool_)
+            if not word.all():  # NULL is code -1 and no word
+                codes = np.where(word, np.cumsum(word) - 1, -1).astype(np.int32)[codes]
+                dictionary = [w for w in dictionary if w not in _NULL_MARKERS]
+            return cls(dtype, codes, codes >= 0, dictionary)
+        if dtype in _TEXT_PARSERS:
             try:
                 data = np.fromiter(
                     map(_TEXT_PARSERS[dtype], texts), dtype=_NUMPY_DTYPE[dtype], count=n
@@ -154,6 +166,71 @@ class ColumnVector:
             except ValueError:
                 pass
         return cls.from_values(dtype, dtype.parse_column(texts))
+
+    @classmethod
+    def from_fields(
+        cls, dtype: DataType, buf: np.ndarray, starts: np.ndarray, lens: np.ndarray
+    ) -> "ColumnVector | None":
+        """``from_texts`` of the fields ``buf[starts[i] : starts[i] + lens[i]]``
+        (at least one) of a uint8 buffer, computed on the bytes with no
+        ``str`` per field — or ``None`` where only ``from_texts`` types the
+        column exactly: an empty field or ``\\N`` (NULL), BOOLEAN, a numeric
+        that is not plain ``-?digits[.digits]``, any field wider than
+        ``_MAX_FIELD_BYTES``, a word holding a NUL.  Invalid UTF-8 in a word
+        raises ``UnicodeDecodeError``."""
+        if dtype is DataType.BOOLEAN:
+            return None
+        if dtype is not DataType.VARCHAR:  # the sign is not one of the digits
+            negative = buf[starts] == ord("-")
+            starts, lens = starts + negative, lens - negative
+        widest = int(lens.max())
+        if widest > _MAX_FIELD_BYTES[dtype] or not lens.all():
+            return None
+        # One column per field, bottom-aligned: row r holds the r-th byte from
+        # the field's end, so a digit's row is its power of ten; above the
+        # field's start a number is padded with "0", a word with NUL.
+        back = np.arange(widest)[:, None]
+        pad = 0 if dtype is DataType.VARCHAR else ord("0")
+        cells = np.where(
+            back < lens, buf.take((starts + lens - 1).astype(np.intp) - back), pad
+        )
+        valid = np.ones(len(starts), dtype=np.bool_)
+        if dtype is DataType.VARCHAR:
+            if np.count_nonzero(cells) != lens.sum():  # a NUL packs like padding
+                return None
+            packed = np.zeros((len(starts), 8), dtype=np.uint8)
+            packed[:, :widest] = cells.T
+            _, first, inverse = np.unique(
+                packed.view(np.uint64).ravel(), return_index=True, return_inverse=True
+            )
+            order = np.argsort(first)  # distinct words by first appearance
+            codes = np.empty(len(order), dtype=np.int32)
+            codes[order] = np.arange(len(order), dtype=np.int32)
+            where = first[order]
+            spans = zip(starts[where].tolist(), lens[where].tolist())
+            words = [buf[at : at + n].tobytes().decode("utf-8") for at, n in spans]
+            if any(word in _NULL_MARKERS for word in words):
+                return None
+            return cls(dtype, codes[inverse], valid, words)
+        dots = cells == ord(".")
+        dotted = dots.sum(axis=0)
+        digits = cells - ord("0")  # uint8 wraps: anything but a digit is > 9
+        digits[dots] = 0
+        if (
+            digits.max() > 9
+            or dotted.max() > int(dtype is DataType.DOUBLE)  # one dot, in a DOUBLE only
+            or not (lens - dotted).all()  # "-", "." and "-." have no digit
+        ):
+            return None
+        values = _POW10[:widest] @ digits
+        if dtype is DataType.DOUBLE:
+            # With the dot r bytes from the end, values is whole * 10**(r+1) +
+            # fraction.  Mantissa and 10**r are exact in float64, so the one
+            # division rounds the exact decimal value once, as float(text) does.
+            scale = _POW10[(dots * back).sum(axis=0)]
+            mantissa = values // (scale * 10) * scale + values % scale
+            values = np.where(dotted, mantissa, values) / scale.astype(np.float64)
+        return cls(dtype, np.where(negative, -values, values), valid)
 
     @classmethod
     def from_dict_codes(
@@ -172,18 +249,17 @@ class ColumnVector:
             self.dtype, self.data[indices], self.valid[indices], self.dictionary
         )
 
-    def with_dictionary(self, dictionary: list[str], codes: np.ndarray) -> "ColumnVector":
-        """Re-encoded copy: same validity, new dictionary + code array."""
-        return ColumnVector(self.dtype, codes, self.valid.copy(), list(dictionary))
-
     def to_pylist(self) -> list:
         """Back to Python values, ``None`` where invalid."""
-        raw = self.data.tolist()
-        valid = self.valid.tolist()
         if self.dtype is DataType.VARCHAR:
-            words = self.dictionary or []
-            return [words[c] if ok else None for c, ok in zip(raw, valid)]
-        return [v if ok else None for v, ok in zip(raw, valid)]
+            # NULL's code -1 picks the None that follows the last word
+            words = np.array([*(self.dictionary or []), None], dtype=object)
+            return words[np.where(self.valid, self.data, -1)].tolist()
+        if self.valid.all():
+            return self.data.tolist()
+        values = self.data.astype(object)
+        values[~self.valid] = None
+        return values.tolist()
 
     def value_bytes(self) -> np.ndarray:
         """Seed-formula byte estimate of each value (``estimate_value_bytes``:
@@ -241,9 +317,6 @@ class ColumnBatch:
 
     def __len__(self) -> int:
         return self.num_rows
-
-    def column(self, index: int) -> ColumnVector:
-        return self.columns[index]
 
     def to_rows(self) -> list[tuple]:
         """Row-tuple view (memoized — the seam adapter used by every

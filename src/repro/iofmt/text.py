@@ -45,12 +45,13 @@ class LineRecordReader(RecordReader):
 
     def __iter__(self):
         for chunk in self.chunks():
-            yield from chunk.split("\n")
+            yield from chunk.decode("utf-8").split("\n")
 
     def chunks(self):
-        """The split's lines as decoded runs of whole lines, ``"\\n"`` between
-        the lines of a run and none at its end — what a consumer that cuts
-        fields itself (the SQL text scan) reads in place of line objects."""
+        """The split's lines as undecoded runs of whole lines, ``b"\\n"``
+        between the lines of a run and none at its end — what a consumer that
+        cuts fields itself (the SQL text scan) reads in place of line objects;
+        it decodes what it keeps."""
         # Hadoop's rule: keep reading while the line *starts* at a position
         # <= the split end (so the line straddling — or starting exactly at —
         # the boundary is read here); the next split's reader discards its
@@ -58,7 +59,7 @@ class LineRecordReader(RecordReader):
         # line of the file is yielded by exactly one reader.
         #
         # Lines are taken a buffer at a time: everything up to a cut is
-        # decoded at once.  The cut is the newline of the last line
+        # one run.  The cut is the newline of the last line
         # this split owns (the first newline at or after the split's end) or,
         # while the buffer stops short of that, the buffer's last newline;
         # lines of the next split stay in the buffer.
@@ -71,11 +72,11 @@ class LineRecordReader(RecordReader):
                 line = self._read_line()
                 if line is None:
                     return
-                yield line.decode("utf-8")
+                yield line
                 continue
             chunk, self._buffer = self._buffer[:cut], self._buffer[cut + 1 :]
             self._consumed += cut + 1
-            yield chunk.decode("utf-8")
+            yield chunk
 
     def close(self) -> None:
         self._reader.close()

@@ -252,37 +252,27 @@ class Executor:
         fmt = TextInputFormat()
         splits = fmt.get_splits(conf, self._ctx.num_workers * 2)
         assignments = assign_splits(splits, self._ctx.worker_nodes)
-        dtypes = [table.schema.column(i).dtype for i in plan.columns]
         total_bytes = sum(s.length() for s in splits)
         self._ctx.ledger.add("sql.scan", total_bytes)
 
         def read_worker(worker_id: int, worker_splits):
-            """split -> text columns -> rows | batch: the rows plane parses
-            and zips each split's columns into tuples, the columnar plane
-            gathers the worker's text columns and types them into vectors
-            (no tuple stage, no Python value per field)."""
+            """split -> typed vectors of the kept columns -> batch | rows, a
+            split at a time so that only one split's index arrays are alive;
+            the rows plane zips the values of the same vectors."""
             node = self._ctx.worker_nodes[worker_id % len(self._ctx.worker_nodes)]
             worker_conf = JobConf(
                 dict(conf.props, **{"client.ip": node.ip}), dfs=self._ctx.dfs
             )
-            rows: list[tuple] = []
-            columns: list[list[str]] = [[] for _ in dtypes]
+            parts = []
             for split in worker_splits:
                 with fmt.create_record_reader(split, worker_conf) as reader:
-                    texts = _split_columns(reader.chunks(), plan, split)
-                if self._ctx.columnar:
-                    for column, fields in zip(columns, texts):
-                        column += fields
-                else:
-                    rows.extend(zip(*map(DataType.parse_column, dtypes, texts)))
+                    raw = b"\n".join(reader.chunks())
+                    parts.append(_scan_split(raw, plan, split))
             if self._ctx.columnar:
-                try:
-                    vectors = list(map(ColumnVector.from_texts, dtypes, columns))
-                    return ColumnBatch.from_columns(plan.schema, vectors, len(columns[0]))
-                except OverflowError:  # an INT beyond int64: the rows hold it
-                    self._count_columnar_fallback()
-                    rows = list(zip(*map(DataType.parse_column, dtypes, columns)))
-            return rows
+                if all(isinstance(part, ColumnBatch) for part in parts):
+                    return ColumnBatch.concat(plan.schema, parts)
+                self._count_columnar_fallback()
+            return [row for part in parts for row in partition_rows(part)]
 
         return self._map_partitions(assignments, read_worker)
 
@@ -939,22 +929,84 @@ def _hash_slots(keys: list, n: int) -> np.ndarray:
     return slots[inverse]
 
 
-def _split_columns(chunks, plan: LogicalScan, split: FileSplit) -> list[list[str]]:
-    """The scan's columns of one split's text, unparsed.  Blank lines are
-    dropped and every line's delimiter count is checked against the table's
-    full width (so a malformed record fails the scan even in a pruned
-    column); then the split is cut into fields in one flat pass — delimiters
-    become newlines, which no line contains, so a multi-character delimiter
-    cannot match across two lines — and column *i* is every ``width``-th
-    field from *i*.  Nothing of the split but the kept columns survives the
-    call."""
-    delimiter, width = plan.table.external.delimiter, len(plan.table.schema)
-    text = "\n".join(chunks)
-    lines = text.split("\n")
-    if "" in lines:
+def _scan_split(raw: bytes, plan: LogicalScan, split: FileSplit) -> ColumnBatch | list[tuple]:
+    """The scan's columns of one split's lines as a typed batch: cut on the
+    bytes where they allow it, else as text; only kept columns are decoded.
+    Row tuples instead when an INT exceeds int64 — only they can hold it."""
+    dtypes = [column.dtype for column in plan.schema]
+    try:
+        try:
+            vectors = _cut_split(raw, plan, dtypes)
+            if vectors is None:
+                texts = _split_columns(raw, plan, split)
+                vectors = list(map(ColumnVector.from_texts, dtypes, texts))
+        except OverflowError:
+            texts = _split_columns(raw, plan, split)
+            return list(zip(*map(DataType.parse_column, dtypes, texts)))
+    except UnicodeDecodeError as exc:
+        raise ExecutionError(
+            f"invalid UTF-8 in {plan.table.name}: {exc.reason} (the split of "
+            f"{split.path} starting at byte {split.start})"
+        ) from exc
+    return ColumnBatch.from_columns(plan.schema, vectors, len(vectors[0]))
+
+
+def _cut_split(raw: bytes, plan: LogicalScan, dtypes: list) -> list[ColumnVector] | None:
+    """The byte-domain cut.  One pass finds every delimiter and newline; laid
+    out ``(lines, width)`` the positions are each field's end, and that they
+    *can* be laid out so, newlines in the last column, is the full-width
+    record check.  Kept columns are typed from their bytes
+    (``ColumnVector.from_fields``); one it declines is decoded alone and read
+    by ``from_texts``.  ``None`` — ``_split_columns`` reads the split — for a
+    multi-character delimiter, no lines, blank lines or a malformed record."""
+    delimiter, width = plan.table.external.delimiter.encode(), len(plan.table.schema)
+    if len(delimiter) != 1 or not 0 < len(raw) < 2**31 - 1:
+        return None
+    buf = np.frombuffer(raw + b"\n", dtype=np.uint8)
+    newlines = buf == 10
+    ends = np.flatnonzero(newlines | (buf == delimiter[0])).astype(np.int32)
+    if len(ends) % width:
+        return None
+    starts = np.empty_like(ends)  # a field starts after the previous one's end
+    starts[0], starts[1:] = 0, ends[:-1] + 1
+    starts, ends = starts.reshape(-1, width), ends.reshape(-1, width)
+    if (
+        np.count_nonzero(newlines) != len(ends)
+        or not newlines[ends[:, -1]].all()
+        or (starts[:, 0] == ends[:, -1]).any()  # a blank line of a 1-column table
+    ):
+        return None
+    vectors = []
+    for index, dtype in zip(plan.columns, dtypes):
+        at, lens = starts[:, index], ends[:, index] - starts[:, index]
+        vector = ColumnVector.from_fields(dtype, buf, at, lens)
+        if vector is None:
+            # the column's fields, each with the separator after it, as lines
+            spans = lens + 1
+            stops = np.cumsum(spans)
+            column = buf[np.repeat(at - (stops - spans), spans) + np.arange(stops[-1])]
+            column[stops - 1] = 10
+            texts = column[:-1].tobytes().decode("utf-8").split("\n")
+            vector = ColumnVector.from_texts(dtype, texts)
+        vectors.append(vector)
+    return vectors
+
+
+def _split_columns(raw: bytes, plan: LogicalScan, split: FileSplit) -> list[list[str]]:
+    """The scan's columns of one split's lines as text — the general cut.
+    Blank lines are dropped and every line's delimiter count is checked
+    against the table's full width (so a malformed record fails the scan even
+    in a pruned column); then the split is cut into fields in one flat pass —
+    delimiters become newlines, which no line contains, so a multi-character
+    delimiter cannot match across two lines — and column *i* is every
+    ``width``-th field from *i*.  All of it on bytes (UTF-8 never matches
+    inside a character): only the kept columns are decoded."""
+    delimiter, width = plan.table.external.delimiter.encode(), len(plan.table.schema)
+    lines = raw.split(b"\n")
+    if b"" in lines:
         lines = list(filter(None, lines))
-        text = "\n".join(lines)
-    if set(map(str.count, lines, repeat(delimiter))) - {width - 1}:
+        raw = b"\n".join(lines)
+    if set(map(bytes.count, lines, repeat(delimiter))) - {width - 1}:
         index, got = next(
             (i, line.count(delimiter) + 1)
             for i, line in enumerate(lines, 1)
@@ -965,8 +1017,10 @@ def _split_columns(chunks, plan: LogicalScan, split: FileSplit) -> list[list[str
             f"got {got} (record {index} of the split of {split.path} "
             f"starting at byte {split.start})"
         )
-    fields = text.replace(delimiter, "\n").split("\n") if lines else []
-    return [fields[i::width] for i in plan.columns]
+    if not lines:
+        return [[] for _ in plan.columns]
+    fields = raw.replace(delimiter, b"\n").split(b"\n")
+    return [b"\n".join(fields[i::width]).decode("utf-8").split("\n") for i in plan.columns]
 
 
 def _project_rows(rows: list[tuple], columns, width: int) -> list[tuple]:

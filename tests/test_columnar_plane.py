@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import repro.sql.executor as executor_module
 from repro import make_deployment
 from repro.cluster.cluster import make_paper_cluster
-from repro.columnar.batch import ColumnBatch, batch_to_xy
+from repro.columnar.batch import ColumnBatch, ColumnVector, batch_to_xy
 from repro.hdfs.filesystem import DistributedFileSystem
 from repro.ml.dataset import ArrayDataset, LabeledPoint
 from repro.sql.engine import BigSQL
@@ -369,18 +369,25 @@ def _run_pipeline(columnar):
 def test_columnar_pipeline_builds_no_row_tuple(monkeypatch, transport):
     """scan -> filter -> join -> project -> transform UDFs -> ``C`` frame ->
     ``batch_to_xy``: the retail prep query and its two follow-ups reach the
-    trainer without one pivot into or out of row tuples, on either transport."""
-    _dep, row_result = _run_pipeline(columnar=False)
+    trainer without one pivot into or out of row tuples, on either transport
+    — and without one ``str`` per field: a plain table never takes the text
+    scan's general path."""
+    row_dep, row_result = _run_pipeline(columnar=False)
     dep = make_deployment(columnar=True, transport=transport)
     wl = generate_retail(dep.engine, dep.dfs, num_users=80, num_carts=600)
+    for table in ("users", "carts"):  # both planes read the same vectors
+        scan = f"SELECT * FROM {table}"
+        assert sorted(dep.engine.query_rows(scan)) == sorted(row_dep.engine.query_rows(scan))
     pivots = []
 
     def forbidden(*args, **kwargs):
         pivots.append(args)
-        pytest.fail("the columnar plane pivoted through row tuples")
+        pytest.fail("the columnar plane pivoted through row tuples or field strings")
 
     monkeypatch.setattr(ColumnBatch, "to_rows", forbidden)
     monkeypatch.setattr(ColumnBatch, "from_rows", forbidden)
+    monkeypatch.setattr(ColumnVector, "from_texts", forbidden)
+    monkeypatch.setattr(executor_module, "_split_columns", forbidden)
     subset_spec = TransformSpec(recode=("abandoned",), dummy=(), label="abandoned")
     results = [
         dep.pipeline.run_insql_stream(

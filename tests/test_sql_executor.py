@@ -408,10 +408,10 @@ class TestFlatSplit:
                 with LineRecordReader(dfs, split) as reader:
                     if isinstance(expected, str):
                         with pytest.raises(ExecutionError) as raised:
-                            _split_columns(reader.chunks(), scan, split)
+                            _split_columns(b"\n".join(reader.chunks()), scan, split)
                         assert str(raised.value) == expected
                     else:
-                        assert _split_columns(reader.chunks(), scan, split) == expected
+                        assert _split_columns(b"\n".join(reader.chunks()), scan, split) == expected
 
 
 class TestSplitAssignment:
