@@ -206,6 +206,9 @@ class CostLedger:
         # Row *counts* (not bytes) of dirty-data handling in the recode UDF.
         "transform.unseen_nulled",
         "transform.rows_skipped",
+        # A *count*: SQL operators that fell back from their vector kernel
+        # to the tuple operators (0 on a healthy run, on every deployment).
+        "columnar.fallback",
     )
 
     def __init__(self) -> None:

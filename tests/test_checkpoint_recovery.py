@@ -149,13 +149,18 @@ class TestResumeFromCheckpoint:
 
 
 class TestLineageReplayLadder:
+    """On the default deployment; the subclass below runs it on ``columnar=True``."""
+
+    columnar = False
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_no_checkpoint_kill_replays_rewritten_query(self, seed):
-        base_dep, base_wl = make_dep()
+        base_dep, base_wl = make_dep(columnar=self.columnar)
         baseline = run_stream(base_dep, base_wl)
 
         injector = FaultInjector(FaultConfig(seed=seed, kill_train_at=3))
-        dep, workload = make_dep(fault_injector=injector)  # checkpointing OFF
+        # checkpointing OFF
+        dep, workload = make_dep(columnar=self.columnar, fault_injector=injector)
         result = run_stream(dep, workload)
         dump_artifacts(f"replay_query_seed{seed}", injector)
 
@@ -170,11 +175,12 @@ class TestLineageReplayLadder:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_warm_cache_never_escalates_past_replay_cache(self, seed):
-        base_dep, base_wl = make_dep()
+        base_dep, base_wl = make_dep(columnar=self.columnar)
         baseline = run_stream(base_dep, base_wl)
 
         injector = FaultInjector(FaultConfig(seed=seed, kill_train_at=3))
-        dep, workload = make_dep(fault_injector=injector)  # checkpointing OFF
+        # checkpointing OFF
+        dep, workload = make_dep(columnar=self.columnar, fault_injector=injector)
         dep.pipeline.populate_caches(workload.prep_sql, workload.spec)
         result = run_stream(dep, workload, use_cache=True)
         dump_artifacts(f"replay_cache_seed{seed}", injector)
@@ -185,6 +191,12 @@ class TestLineageReplayLadder:
         tiers = [ev.tier for ev in dep.coordinator.recovery.ml_recovery_events]
         assert tiers == ["replay_cache"]
         assert "replay_query" not in tiers and "full_restart" not in tiers
+
+
+class TestLineageReplayLadderColumnar(TestLineageReplayLadder):
+    """The replay rungs rebuild the streamed layout from batch partitions."""
+
+    columnar = True
 
 
 # --------------------------------------------------------------------------
