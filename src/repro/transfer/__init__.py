@@ -39,9 +39,10 @@ from repro.transfer.buffers import SpillableBuffer
 from repro.transfer.channel import StreamChannel
 from repro.transfer.coordinator import Coordinator, StreamSession
 from repro.transfer.sqlstream import SQLStreamInputFormat, StreamSplit
-from repro.transfer.stream_udf import StreamTransferUDF
+from repro.transfer.stream_udf import ColumnarStreamTransferUDF, StreamTransferUDF
 
 __all__ = [
+    "ColumnarStreamTransferUDF",
     "Coordinator",
     "SpillableBuffer",
     "SQLStreamInputFormat",

@@ -195,7 +195,7 @@ class TestSqlOverColumnar:
 
         rows = [(i, "FM"[i % 2], float(i), ["Yes", "No"][i % 2]) for i in range(40)]
         write_table(dfs, "/pr/col", SCHEMA, [rows[i::4] for i in range(4)])  # one per slot
-        engine = BigSQL(cluster, dfs, columnar=True)
+        engine = BigSQL(cluster, dfs)
         engine.register_external_table("pr", SCHEMA, "/pr/col", format="columnar")
         built = []
         for name in ("from_values", "from_dict_codes"):

@@ -13,13 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.cluster.cluster import make_paper_cluster
+from repro import make_deployment
 from repro.columnar.batch import ColumnVector
 from repro.common.errors import ExecutionError
-from repro.hdfs.filesystem import DistributedFileSystem
 from repro.iofmt.inputformat import JobConf
 from repro.iofmt.text import FileSplit, LineRecordReader, TextInputFormat
-from repro.sql.engine import BigSQL
 from repro.sql.executor import _cut_split, _split_columns
 from repro.sql.types import DataType, Schema
 
@@ -28,11 +26,12 @@ from_fields = ColumnVector.from_fields.__func__
 
 
 def text_table(raw: bytes, dtypes, delimiter=",", columnar=False):
-    """An engine with ``raw`` registered as table ``t`` (columns c0, c1, …)."""
-    cluster = make_paper_cluster()
-    dfs = DistributedFileSystem(cluster, block_size=64)
+    """The engine of a ``columnar=`` deployment with ``raw`` registered as
+    table ``t`` (columns c0, c1, …).  The flag picks only the stream sink's
+    frames, so no scan may depend on it."""
+    dep = make_deployment(block_size=64, columnar=columnar)
+    engine, dfs = dep.engine, dep.dfs
     dfs.write_bytes(PATH, raw)
-    engine = BigSQL(cluster, dfs, columnar=columnar)
     schema = Schema.of(*((f"c{i}", dtype) for i, dtype in enumerate(dtypes)))
     engine.register_external_table("t", schema, PATH, delimiter=delimiter)
     return engine, dfs
