@@ -2,20 +2,27 @@
 
 Expressions are frozen dataclasses, so two structurally identical expressions
 compare and hash equal — the property the cache fingerprints (§5) and the
-rewriter's predicate matching (§5.1/§5.2) are built on.
+rewriter's predicate matching (§5.1/§5.2) are built on.  Their sub-expressions
+are their fields: :func:`walk`, :meth:`Expr.references` and :func:`transform`
+read them from ``dataclasses.fields``, so a node declares no traversal.
 
 Evaluation uses SQL's three-valued logic: comparisons and arithmetic with a
 NULL operand yield NULL; AND/OR follow Kleene logic; filters keep only rows
-where the predicate is exactly TRUE.
+where the predicate is exactly TRUE.  :meth:`Expr.bind_batch` is the one row
+evaluator (rows -> values over a whole partition); AND, OR, IN, CASE and
+COALESCE run an operand only on the rows the earlier operands left
+undecided, so ``a <> 0 AND 10 / a > 1`` never divides by zero.
 """
 
+import dataclasses
+import functools
 import re
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
-from repro.common.errors import PlanError
+from repro.common.errors import ExecutionError, PlanError
 from repro.sql.types import DataType, Schema
 
 
@@ -31,44 +38,53 @@ class Expr(ABC):
     """Base class of all expression nodes."""
 
     @abstractmethod
-    def bind(self, binder: Binder) -> Callable[[tuple], Any]:
-        """Compile to a row -> value evaluator."""
-
     def bind_batch(self, binder: Binder) -> Callable[[list[tuple]], list]:
-        """Compile to a rows -> values evaluator over a whole partition.
-
-        The executor's hot loops (filter, project, hash-key extraction) call
-        this once per partition instead of dispatching ``bind``'s closure
-        tree per row.  Node types whose scalar evaluation is unconditional
-        override it to evaluate column-at-a-time with list comprehensions;
-        short-circuiting nodes (AND/OR/CASE/COALESCE) keep this fallback so
-        their lazy-evaluation semantics are untouched.
-        """
-        fn = self.bind(binder)
-        return lambda rows: [fn(row) for row in rows]
+        """Compile to a rows -> values evaluator over a whole partition: the
+        one row evaluator, which the executor's tuple operators call once per
+        partition.  AND, OR, IN, CASE and COALESCE are lazy: each operand
+        runs only on the rows the earlier operands left undecided."""
 
     @abstractmethod
     def data_type(self, binder: Binder) -> DataType:
         """Static result type under the binder's schema."""
 
     @abstractmethod
-    def references(self) -> set[tuple[str | None, str]]:
-        """All (qualifier, column) pairs this expression reads."""
-
-    @abstractmethod
     def to_sql(self) -> str:
         """Render back to SQL text (parseable by our parser)."""
+
+    def references(self) -> set[tuple[str | None, str]]:
+        """All (qualifier, column) pairs this expression reads."""
+        return {(n.qualifier, n.name) for n in walk(self) if isinstance(n, ColumnRef)}
 
     def contains_aggregate(self) -> bool:
         """True when an AggregateCall appears anywhere in this tree."""
         return any(isinstance(node, AggregateCall) for node in walk(self))
 
 
+@functools.cache
+def _expr_fields(cls: type) -> tuple[str, ...] | None:
+    """The field names of an expression class, None for any other type."""
+    return tuple(f.name for f in dataclasses.fields(cls)) if issubclass(cls, Expr) else None
+
+
 def walk(expr: Expr):
-    """Yield ``expr`` and all its descendants."""
-    yield expr
-    for child in getattr(expr, "_children", lambda: [])():
-        yield from walk(child)
+    """Yield ``expr`` and all its descendants, pre-order in field order (a
+    tuple field, like CASE's ``whens``, is walked item by item)."""
+    stack: list = [expr]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            stack.extend(reversed(node))
+        elif (names := _expr_fields(type(node))) is not None:
+            yield node
+            stack.extend([getattr(node, name) for name in reversed(names)])
+
+
+def _on(fn: Callable[[list[tuple]], list], rows: list[tuple], pending):
+    """``(index, value)`` pairs of ``fn`` run on only the rows at the
+    ascending ``pending`` indices."""
+    subset = rows if len(pending) == len(rows) else [rows[i] for i in pending]
+    return zip(pending, fn(subset))
 
 
 def _sql_string(value: str) -> str:
@@ -85,10 +101,6 @@ class ColumnRef(Expr):
     qualifier: str | None
     name: str
 
-    def bind(self, binder: Binder) -> Callable[[tuple], Any]:
-        index = binder.schema.resolve(self.qualifier, self.name)
-        return lambda row: row[index]
-
     def bind_batch(self, binder: Binder) -> Callable[[list[tuple]], list]:
         index = binder.schema.resolve(self.qualifier, self.name)
         return lambda rows: [row[index] for row in rows]
@@ -97,16 +109,10 @@ class ColumnRef(Expr):
         index = binder.schema.resolve(self.qualifier, self.name)
         return binder.schema.column(index).dtype
 
-    def references(self) -> set[tuple[str | None, str]]:
-        return {(self.qualifier, self.name)}
-
     def to_sql(self) -> str:
         if self.qualifier:
             return f"{self.qualifier}.{self.name}"
         return self.name
-
-    def _children(self) -> list[Expr]:
-        return []
 
 
 @dataclass(frozen=True)
@@ -114,10 +120,6 @@ class Literal(Expr):
     """A constant: number, string, boolean, or NULL."""
 
     value: Any
-
-    def bind(self, binder: Binder) -> Callable[[tuple], Any]:
-        value = self.value
-        return lambda row: value
 
     def bind_batch(self, binder: Binder) -> Callable[[list[tuple]], list]:
         value = self.value
@@ -136,9 +138,6 @@ class Literal(Expr):
             return DataType.VARCHAR
         raise PlanError(f"unsupported literal type: {type(self.value).__name__}")
 
-    def references(self) -> set[tuple[str | None, str]]:
-        return set()
-
     def to_sql(self) -> str:
         if self.value is None:
             return "NULL"
@@ -148,28 +147,19 @@ class Literal(Expr):
             return _sql_string(self.value)
         return repr(self.value)
 
-    def _children(self) -> list[Expr]:
-        return []
-
 
 @dataclass(frozen=True)
 class Star(Expr):
     """``*`` — valid only in SELECT lists and COUNT(*)."""
 
-    def bind(self, binder: Binder) -> Callable[[tuple], Any]:
+    def bind_batch(self, binder: Binder) -> Callable[[list[tuple]], list]:
         raise PlanError("* cannot be evaluated as a scalar expression")
 
     def data_type(self, binder: Binder) -> DataType:
         raise PlanError("* has no scalar type")
 
-    def references(self) -> set[tuple[str | None, str]]:
-        return set()
-
     def to_sql(self) -> str:
         return "*"
-
-    def _children(self) -> list[Expr]:
-        return []
 
 
 # ----------------------------------------------------------------- operators
@@ -193,7 +183,7 @@ _ARITH_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "%": lambda a, b: a % b,
 }
 
-_CMP_OPS: dict[str, Callable[[Any, Any], bool]] = {
+CMP_OPS: dict[str, Callable[[Any, Any], bool]] = {
     "=": lambda a, b: a == b,
     "<>": lambda a, b: a != b,
     "<": lambda a, b: a < b,
@@ -201,6 +191,22 @@ _CMP_OPS: dict[str, Callable[[Any, Any], bool]] = {
     ">": lambda a, b: a > b,
     ">=": lambda a, b: a >= b,
 }
+
+
+def _binary_batch(
+    fn: Callable[[Any, Any], Any], expr: "Arithmetic | Comparison", binder: Binder
+) -> Callable[[list[tuple]], list]:
+    """``fn(left, right)`` per row, NULL when either side is NULL."""
+    lhs, rhs = expr.left.bind_batch(binder), expr.right.bind_batch(binder)
+
+    def evaluate(rows: list[tuple]) -> list:
+        pairs = zip(lhs(rows), rhs(rows))
+        try:
+            return [None if a is None or b is None else fn(a, b) for a, b in pairs]
+        except ZeroDivisionError:
+            raise ExecutionError(f"division by zero in {expr.to_sql()}") from None
+
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -215,30 +221,10 @@ class Arithmetic(Expr):
     left: Expr
     right: Expr
 
-    def bind(self, binder: Binder) -> Callable[[tuple], Any]:
-        if self.op not in _ARITH_OPS:
-            raise PlanError(f"unknown arithmetic operator {self.op!r}")
-        fn = _ARITH_OPS[self.op]
-        lhs, rhs = self.left.bind(binder), self.right.bind(binder)
-
-        def evaluate(row: tuple) -> Any:
-            a, b = lhs(row), rhs(row)
-            if a is None or b is None:
-                return None
-            return fn(a, b)
-
-        return evaluate
-
     def bind_batch(self, binder: Binder) -> Callable[[list[tuple]], list]:
         if self.op not in _ARITH_OPS:
             raise PlanError(f"unknown arithmetic operator {self.op!r}")
-        fn = _ARITH_OPS[self.op]
-        lhs = self.left.bind_batch(binder)
-        rhs = self.right.bind_batch(binder)
-        return lambda rows: [
-            None if a is None or b is None else fn(a, b)
-            for a, b in zip(lhs(rows), rhs(rows))
-        ]
+        return _binary_batch(_ARITH_OPS[self.op], self, binder)
 
     def data_type(self, binder: Binder) -> DataType:
         lt, rt = self.left.data_type(binder), self.right.data_type(binder)
@@ -254,14 +240,8 @@ class Arithmetic(Expr):
             return DataType.BIGINT
         return DataType.INT
 
-    def references(self) -> set[tuple[str | None, str]]:
-        return self.left.references() | self.right.references()
-
     def to_sql(self) -> str:
         return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
-
-    def _children(self) -> list[Expr]:
-        return [self.left, self.right]
 
 
 @dataclass(frozen=True)
@@ -272,47 +252,48 @@ class Comparison(Expr):
     left: Expr
     right: Expr
 
-    def bind(self, binder: Binder) -> Callable[[tuple], Any]:
-        if self.op not in _CMP_OPS:
-            raise PlanError(f"unknown comparison operator {self.op!r}")
-        fn = _CMP_OPS[self.op]
-        lhs, rhs = self.left.bind(binder), self.right.bind(binder)
-
-        def evaluate(row: tuple) -> Any:
-            a, b = lhs(row), rhs(row)
-            if a is None or b is None:
-                return None
-            return fn(a, b)
-
-        return evaluate
-
     def bind_batch(self, binder: Binder) -> Callable[[list[tuple]], list]:
-        if self.op not in _CMP_OPS:
+        if self.op not in CMP_OPS:
             raise PlanError(f"unknown comparison operator {self.op!r}")
-        fn = _CMP_OPS[self.op]
-        lhs = self.left.bind_batch(binder)
-        rhs = self.right.bind_batch(binder)
-        return lambda rows: [
-            None if a is None or b is None else fn(a, b)
-            for a, b in zip(lhs(rows), rhs(rows))
-        ]
+        return _binary_batch(CMP_OPS[self.op], self, binder)
 
     def data_type(self, binder: Binder) -> DataType:
         return DataType.BOOLEAN
 
-    def references(self) -> set[tuple[str | None, str]]:
-        return self.left.references() | self.right.references()
-
     def to_sql(self) -> str:
         return f"{self.left.to_sql()} {self.op} {self.right.to_sql()}"
-
-    def _children(self) -> list[Expr]:
-        return [self.left, self.right]
 
     def flipped(self) -> "Comparison":
         """Mirror image: ``a < b`` becomes ``b > a`` (same truth value)."""
         flip = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
         return Comparison(flip[self.op], self.right, self.left)
+
+
+def _kleene_batch(
+    operands: tuple[Expr, ...], binder: Binder, decisive: bool
+) -> Callable[[list[tuple]], list]:
+    """AND (``decisive=False``) or OR (``decisive=True``): a row is decided
+    by the first operand that yields ``decisive``, and later operands run
+    only on the rows still undecided.  Those end NULL if an operand was."""
+    fns = [op.bind_batch(binder) for op in operands]
+
+    def evaluate(rows: list[tuple]) -> list:
+        out = [not decisive] * len(rows)
+        pending = range(len(rows))
+        for fn in fns:
+            undecided = []
+            for i, value in _on(fn, rows, pending):
+                if value is None:
+                    out[i] = None
+                    undecided.append(i)
+                elif bool(value) is decisive:
+                    out[i] = decisive
+                else:
+                    undecided.append(i)
+            pending = undecided
+        return out
+
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -321,35 +302,14 @@ class And(Expr):
 
     operands: tuple[Expr, ...]
 
-    def bind(self, binder: Binder) -> Callable[[tuple], Any]:
-        fns = [op.bind(binder) for op in self.operands]
-
-        def evaluate(row: tuple) -> Any:
-            saw_null = False
-            for fn in fns:
-                value = fn(row)
-                if value is None:
-                    saw_null = True
-                elif not value:
-                    return False
-            return None if saw_null else True
-
-        return evaluate
+    def bind_batch(self, binder: Binder) -> Callable[[list[tuple]], list]:
+        return _kleene_batch(self.operands, binder, decisive=False)
 
     def data_type(self, binder: Binder) -> DataType:
         return DataType.BOOLEAN
 
-    def references(self) -> set[tuple[str | None, str]]:
-        refs: set[tuple[str | None, str]] = set()
-        for op in self.operands:
-            refs |= op.references()
-        return refs
-
     def to_sql(self) -> str:
         return "(" + " AND ".join(op.to_sql() for op in self.operands) + ")"
-
-    def _children(self) -> list[Expr]:
-        return list(self.operands)
 
 
 @dataclass(frozen=True)
@@ -358,35 +318,14 @@ class Or(Expr):
 
     operands: tuple[Expr, ...]
 
-    def bind(self, binder: Binder) -> Callable[[tuple], Any]:
-        fns = [op.bind(binder) for op in self.operands]
-
-        def evaluate(row: tuple) -> Any:
-            saw_null = False
-            for fn in fns:
-                value = fn(row)
-                if value is None:
-                    saw_null = True
-                elif value:
-                    return True
-            return None if saw_null else False
-
-        return evaluate
+    def bind_batch(self, binder: Binder) -> Callable[[list[tuple]], list]:
+        return _kleene_batch(self.operands, binder, decisive=True)
 
     def data_type(self, binder: Binder) -> DataType:
         return DataType.BOOLEAN
 
-    def references(self) -> set[tuple[str | None, str]]:
-        refs: set[tuple[str | None, str]] = set()
-        for op in self.operands:
-            refs |= op.references()
-        return refs
-
     def to_sql(self) -> str:
         return "(" + " OR ".join(op.to_sql() for op in self.operands) + ")"
-
-    def _children(self) -> list[Expr]:
-        return list(self.operands)
 
 
 @dataclass(frozen=True)
@@ -395,17 +334,6 @@ class Not(Expr):
 
     operand: Expr
 
-    def bind(self, binder: Binder) -> Callable[[tuple], Any]:
-        fn = self.operand.bind(binder)
-
-        def evaluate(row: tuple) -> Any:
-            value = fn(row)
-            if value is None:
-                return None
-            return not value
-
-        return evaluate
-
     def bind_batch(self, binder: Binder) -> Callable[[list[tuple]], list]:
         fn = self.operand.bind_batch(binder)
         return lambda rows: [None if v is None else (not v) for v in fn(rows)]
@@ -413,14 +341,8 @@ class Not(Expr):
     def data_type(self, binder: Binder) -> DataType:
         return DataType.BOOLEAN
 
-    def references(self) -> set[tuple[str | None, str]]:
-        return self.operand.references()
-
     def to_sql(self) -> str:
         return f"NOT ({self.operand.to_sql()})"
-
-    def _children(self) -> list[Expr]:
-        return [self.operand]
 
 
 @dataclass(frozen=True)
@@ -429,15 +351,6 @@ class Negate(Expr):
 
     operand: Expr
 
-    def bind(self, binder: Binder) -> Callable[[tuple], Any]:
-        fn = self.operand.bind(binder)
-
-        def evaluate(row: tuple) -> Any:
-            value = fn(row)
-            return None if value is None else -value
-
-        return evaluate
-
     def bind_batch(self, binder: Binder) -> Callable[[list[tuple]], list]:
         fn = self.operand.bind_batch(binder)
         return lambda rows: [None if v is None else -v for v in fn(rows)]
@@ -445,14 +358,8 @@ class Negate(Expr):
     def data_type(self, binder: Binder) -> DataType:
         return self.operand.data_type(binder)
 
-    def references(self) -> set[tuple[str | None, str]]:
-        return self.operand.references()
-
     def to_sql(self) -> str:
         return f"(-{self.operand.to_sql()})"
-
-    def _children(self) -> list[Expr]:
-        return [self.operand]
 
 
 @dataclass(frozen=True)
@@ -461,11 +368,6 @@ class IsNull(Expr):
 
     operand: Expr
     negated: bool = False
-
-    def bind(self, binder: Binder) -> Callable[[tuple], Any]:
-        fn = self.operand.bind(binder)
-        negated = self.negated
-        return lambda row: (fn(row) is not None) if negated else (fn(row) is None)
 
     def bind_batch(self, binder: Binder) -> Callable[[list[tuple]], list]:
         fn = self.operand.bind_batch(binder)
@@ -476,15 +378,9 @@ class IsNull(Expr):
     def data_type(self, binder: Binder) -> DataType:
         return DataType.BOOLEAN
 
-    def references(self) -> set[tuple[str | None, str]]:
-        return self.operand.references()
-
     def to_sql(self) -> str:
         suffix = "IS NOT NULL" if self.negated else "IS NULL"
         return f"{self.operand.to_sql()} {suffix}"
-
-    def _children(self) -> list[Expr]:
-        return [self.operand]
 
 
 @dataclass(frozen=True)
@@ -495,39 +391,34 @@ class InList(Expr):
     values: tuple[Expr, ...]
     negated: bool = False
 
-    def bind(self, binder: Binder) -> Callable[[tuple], Any]:
-        fn = self.operand.bind(binder)
-        member_fns = [v.bind(binder) for v in self.values]
+    def bind_batch(self, binder: Binder) -> Callable[[list[tuple]], list]:
+        fn = self.operand.bind_batch(binder)
+        member_fns = [v.bind_batch(binder) for v in self.values]
         negated = self.negated
 
-        def evaluate(row: tuple) -> Any:
-            value = fn(row)
-            if value is None:
-                return None
-            members = [m(row) for m in member_fns]
-            found = value in [m for m in members if m is not None]
-            if not found and any(m is None for m in members):
-                return None
-            return (not found) if negated else found
+        def evaluate(rows: list[tuple]) -> list:
+            values = fn(rows)
+            out = [None] * len(rows)
+            # Members are evaluated only where the operand is not NULL.
+            pending = [i for i, value in enumerate(values) if value is not None]
+            kept = [rows[i] for i in pending]
+            member_columns = [m(kept) for m in member_fns]
+            for k, i in enumerate(pending):
+                members = [column[k] for column in member_columns]
+                found = values[i] in [m for m in members if m is not None]
+                if found or all(m is not None for m in members):
+                    out[i] = (not found) if negated else found
+            return out
 
         return evaluate
 
     def data_type(self, binder: Binder) -> DataType:
         return DataType.BOOLEAN
 
-    def references(self) -> set[tuple[str | None, str]]:
-        refs = self.operand.references()
-        for v in self.values:
-            refs |= v.references()
-        return refs
-
     def to_sql(self) -> str:
         keyword = "NOT IN" if self.negated else "IN"
         members = ", ".join(v.to_sql() for v in self.values)
         return f"{self.operand.to_sql()} {keyword} ({members})"
-
-    def _children(self) -> list[Expr]:
-        return [self.operand, *self.values]
 
 
 @dataclass(frozen=True)
@@ -538,20 +429,6 @@ class Between(Expr):
     low: Expr
     high: Expr
     negated: bool = False
-
-    def bind(self, binder: Binder) -> Callable[[tuple], Any]:
-        fn = self.operand.bind(binder)
-        lo_fn, hi_fn = self.low.bind(binder), self.high.bind(binder)
-        negated = self.negated
-
-        def evaluate(row: tuple) -> Any:
-            value, lo, hi = fn(row), lo_fn(row), hi_fn(row)
-            if value is None or lo is None or hi is None:
-                return None
-            inside = lo <= value <= hi
-            return (not inside) if negated else inside
-
-        return evaluate
 
     def bind_batch(self, binder: Binder) -> Callable[[list[tuple]], list]:
         fn = self.operand.bind_batch(binder)
@@ -573,15 +450,16 @@ class Between(Expr):
     def data_type(self, binder: Binder) -> DataType:
         return DataType.BOOLEAN
 
-    def references(self) -> set[tuple[str | None, str]]:
-        return self.operand.references() | self.low.references() | self.high.references()
-
     def to_sql(self) -> str:
         keyword = "NOT BETWEEN" if self.negated else "BETWEEN"
         return f"{self.operand.to_sql()} {keyword} {self.low.to_sql()} AND {self.high.to_sql()}"
 
-    def _children(self) -> list[Expr]:
-        return [self.operand, self.low, self.high]
+
+def like_regex(pattern: str) -> re.Pattern:
+    """A LIKE pattern as an anchored regex: ``%`` any run, ``_`` one character."""
+    return re.compile(
+        "^" + re.escape(pattern).replace("%", ".*").replace("_", ".") + "$", re.DOTALL
+    )
 
 
 @dataclass(frozen=True)
@@ -592,30 +470,9 @@ class Like(Expr):
     pattern: str
     negated: bool = False
 
-    def bind(self, binder: Binder) -> Callable[[tuple], Any]:
-        fn = self.operand.bind(binder)
-        regex = re.compile(
-            "^" + re.escape(self.pattern).replace("%", ".*").replace("_", ".") + "$",
-            re.DOTALL,
-        )
-        negated = self.negated
-
-        def evaluate(row: tuple) -> Any:
-            value = fn(row)
-            if value is None:
-                return None
-            matched = regex.match(str(value)) is not None
-            return (not matched) if negated else matched
-
-        return evaluate
-
     def bind_batch(self, binder: Binder) -> Callable[[list[tuple]], list]:
         fn = self.operand.bind_batch(binder)
-        regex = re.compile(
-            "^" + re.escape(self.pattern).replace("%", ".*").replace("_", ".") + "$",
-            re.DOTALL,
-        )
-        match = regex.match
+        match = like_regex(self.pattern).match
         if self.negated:
             return lambda rows: [
                 None if v is None else match(str(v)) is None for v in fn(rows)
@@ -627,15 +484,9 @@ class Like(Expr):
     def data_type(self, binder: Binder) -> DataType:
         return DataType.BOOLEAN
 
-    def references(self) -> set[tuple[str | None, str]]:
-        return self.operand.references()
-
     def to_sql(self) -> str:
         keyword = "NOT LIKE" if self.negated else "LIKE"
         return f"{self.operand.to_sql()} {keyword} {_sql_string(self.pattern)}"
-
-    def _children(self) -> list[Expr]:
-        return [self.operand]
 
 
 @dataclass(frozen=True)
@@ -645,28 +496,27 @@ class CaseWhen(Expr):
     whens: tuple[tuple[Expr, Expr], ...]
     otherwise: Expr | None = None
 
-    def bind(self, binder: Binder) -> Callable[[tuple], Any]:
-        compiled = [(c.bind(binder), r.bind(binder)) for c, r in self.whens]
-        else_fn = self.otherwise.bind(binder) if self.otherwise else None
+    def bind_batch(self, binder: Binder) -> Callable[[list[tuple]], list]:
+        compiled = [(c.bind_batch(binder), r.bind_batch(binder)) for c, r in self.whens]
+        if self.otherwise is not None:  # ELSE: a WHEN that always fires
+            compiled.append((lambda rows: [True] * len(rows), self.otherwise.bind_batch(binder)))
 
-        def evaluate(row: tuple) -> Any:
+        def evaluate(rows: list[tuple]) -> list:
+            out = [None] * len(rows)
+            pending = range(len(rows))
             for cond, result in compiled:
-                if cond(row):
-                    return result(row)
-            return else_fn(row) if else_fn else None
+                fired, undecided = [], []
+                for i, value in _on(cond, rows, pending):
+                    (fired if value else undecided).append(i)
+                for i, value in _on(result, rows, fired):
+                    out[i] = value
+                pending = undecided
+            return out
 
         return evaluate
 
     def data_type(self, binder: Binder) -> DataType:
         return self.whens[0][1].data_type(binder)
-
-    def references(self) -> set[tuple[str | None, str]]:
-        refs: set[tuple[str | None, str]] = set()
-        for cond, result in self.whens:
-            refs |= cond.references() | result.references()
-        if self.otherwise:
-            refs |= self.otherwise.references()
-        return refs
 
     def to_sql(self) -> str:
         parts = ["CASE"]
@@ -676,14 +526,6 @@ class CaseWhen(Expr):
             parts.append(f"ELSE {self.otherwise.to_sql()}")
         parts.append("END")
         return " ".join(parts)
-
-    def _children(self) -> list[Expr]:
-        children: list[Expr] = []
-        for cond, result in self.whens:
-            children.extend((cond, result))
-        if self.otherwise:
-            children.append(self.otherwise)
-        return children
 
 
 # ----------------------------------------------------------------- functions
@@ -738,6 +580,25 @@ class FunctionRegistry:
         )
 
 
+def _coalesce_batch(arg_fns: list) -> Callable[[list[tuple]], list]:
+    """COALESCE: each argument runs only on the rows still NULL."""
+
+    def evaluate(rows: list[tuple]) -> list:
+        out = [None] * len(rows)
+        pending = range(len(rows))
+        for fn in arg_fns:
+            undecided = []
+            for i, value in _on(fn, rows, pending):
+                if value is None:
+                    undecided.append(i)
+                else:
+                    out[i] = value
+            pending = undecided
+        return out
+
+    return evaluate
+
+
 @dataclass(frozen=True)
 class FuncCall(Expr):
     """Scalar function/UDF invocation; NULL arguments yield NULL.
@@ -748,45 +609,21 @@ class FuncCall(Expr):
     name: str
     args: tuple[Expr, ...]
 
-    def bind(self, binder: Binder) -> Callable[[tuple], Any]:
-        if self.name.lower() == "coalesce":
-            arg_fns = [a.bind(binder) for a in self.args]
-
-            def evaluate_coalesce(row: tuple) -> Any:
-                for fn in arg_fns:
-                    value = fn(row)
-                    if value is not None:
-                        return value
-                return None
-
-            return evaluate_coalesce
-
-        fn, _ = binder.functions.lookup(self.name)
-        arg_fns = [a.bind(binder) for a in self.args]
-
-        def evaluate(row: tuple) -> Any:
-            args = [f(row) for f in arg_fns]
-            if any(a is None for a in args):
-                return None
-            return fn(*args)
-
-        return evaluate
-
     def bind_batch(self, binder: Binder) -> Callable[[list[tuple]], list]:
         if self.name.lower() == "coalesce":
-            # COALESCE short-circuits argument evaluation; keep per-row.
-            return super().bind_batch(binder)
+            return _coalesce_batch([a.bind_batch(binder) for a in self.args])
         fn, _ = binder.functions.lookup(self.name)
-        arg_batch_fns = [a.bind_batch(binder) for a in self.args]
-        if not arg_batch_fns:
-            return lambda rows: [fn() for _ in rows]
+        arg_fns = [a.bind_batch(binder) for a in self.args]
 
         def evaluate(rows: list[tuple]) -> list:
-            columns = [f(rows) for f in arg_batch_fns]
-            return [
-                None if any(a is None for a in args) else fn(*args)
-                for args in zip(*columns)
-            ]
+            arg_rows = zip(*[f(rows) for f in arg_fns]) if arg_fns else [()] * len(rows)
+            try:
+                return [
+                    None if any(a is None for a in args) else fn(*args)
+                    for args in arg_rows
+                ]
+            except ZeroDivisionError:
+                raise ExecutionError(f"division by zero in {self.to_sql()}") from None
 
         return evaluate
 
@@ -798,17 +635,8 @@ class FuncCall(Expr):
             return self.args[0].data_type(binder)
         return return_type
 
-    def references(self) -> set[tuple[str | None, str]]:
-        refs: set[tuple[str | None, str]] = set()
-        for a in self.args:
-            refs |= a.references()
-        return refs
-
     def to_sql(self) -> str:
         return f"{self.name}({', '.join(a.to_sql() for a in self.args)})"
-
-    def _children(self) -> list[Expr]:
-        return list(self.args)
 
 
 AGGREGATE_FUNCTIONS = ("count", "sum", "avg", "min", "max")
@@ -822,7 +650,7 @@ class AggregateCall(Expr):
     arg: Expr
     distinct: bool = False
 
-    def bind(self, binder: Binder) -> Callable[[tuple], Any]:
+    def bind_batch(self, binder: Binder) -> Callable[[list[tuple]], list]:
         raise PlanError(
             f"aggregate {self.func.upper()} cannot be evaluated per row; "
             "it must appear in a SELECT list with optional GROUP BY"
@@ -838,15 +666,9 @@ class AggregateCall(Expr):
             raise PlanError(f"{self.func.upper()}(*) is only valid for COUNT")
         return self.arg.data_type(binder)
 
-    def references(self) -> set[tuple[str | None, str]]:
-        return self.arg.references()
-
     def to_sql(self) -> str:
         inner = ("DISTINCT " if self.distinct else "") + self.arg.to_sql()
         return f"{self.func.upper()}({inner})"
-
-    def _children(self) -> list[Expr]:
-        return [self.arg]
 
 
 def conjuncts(expr: Expr | None) -> list[Expr]:
@@ -879,8 +701,6 @@ def transform(expr: Expr, fn: Callable[[Expr], Expr | None]) -> Expr:
     operator's output) and by the query rewriter (re-rooting predicates onto
     a cached table).
     """
-    import dataclasses
-
     replacement = fn(expr)
     if replacement is not None:
         return replacement
@@ -892,7 +712,5 @@ def transform(expr: Expr, fn: Callable[[Expr], Expr | None]) -> Expr:
             return tuple(rebuild(v) for v in value)
         return value
 
-    kwargs = {
-        f.name: rebuild(getattr(expr, f.name)) for f in dataclasses.fields(expr)
-    }
+    kwargs = {name: rebuild(getattr(expr, name)) for name in _expr_fields(type(expr))}
     return type(expr)(**kwargs)

@@ -216,7 +216,7 @@ class Planner:
                 f"table UDF arguments must be constants, got {expr.to_sql()}"
             )
         empty = Binder(Schema([]), self._ctx.functions)
-        return expr.bind(empty)(())
+        return expr.bind_batch(empty)([()])[0]
 
     # ------------------------------------------------------------- pushdown
 

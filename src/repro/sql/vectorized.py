@@ -13,7 +13,7 @@ work instead of O(rows).
 
 The compiler is deliberately partial.  ``compile_*`` returns ``None`` when
 any node in the tree falls outside the supported subset (scalar UDF calls,
-COALESCE, ``/`` and ``%`` whose ZeroDivisionError/truncation semantics are
+COALESCE, ``/`` and ``%`` whose division-by-zero error and truncation are
 row-defined, VARCHAR-vs-VARCHAR column comparisons), and a compiled kernel
 raises :class:`VectorFallback` when a runtime shape/type doesn't match its
 assumptions.  Callers fall back to the row-oriented path over
@@ -27,7 +27,6 @@ values long before a kernel sees them.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +35,7 @@ import numpy as np
 from repro.columnar.batch import ColumnBatch, ColumnVector
 from repro.common.errors import PlanError
 from repro.sql.expressions import (
+    CMP_OPS,
     And,
     Arithmetic,
     Between,
@@ -52,6 +52,7 @@ from repro.sql.expressions import (
     Not,
     Or,
     Star,
+    like_regex,
 )
 from repro.sql.types import DataType, Schema
 
@@ -94,15 +95,6 @@ _CMP_UFUNCS = {
 }
 
 _ARITH_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply}
-
-_CMP_PY = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
 
 
 def _expr_type(expr: Expr, schema: Schema) -> DataType | None:
@@ -198,7 +190,7 @@ def _compile_comparison(expr: Comparison, schema: Schema) -> Kernel | None:
             return None
         # Dictionary-space comparison: only when one side is a single-word
         # dictionary (a literal) — the common point-predicate shape.
-        py_op = _CMP_PY[op]
+        py_op = CMP_OPS[op]
 
         def kernel(batch: ColumnBatch) -> VCol:
             lv, rv = left(batch), right(batch)
@@ -411,10 +403,7 @@ def _compile_like(expr: Like, schema: Schema) -> Kernel | None:
     inner = _compile(expr.operand, schema)
     if inner is None:
         return None
-    regex = re.compile(
-        "^" + re.escape(expr.pattern).replace("%", ".*").replace("_", ".") + "$",
-        re.DOTALL,
-    )
+    regex = like_regex(expr.pattern)
     negated = expr.negated
 
     def kernel(batch: ColumnBatch) -> VCol:

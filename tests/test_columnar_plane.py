@@ -429,9 +429,10 @@ def test_columnar_pipeline_builds_no_row_tuple(monkeypatch, transport):
 def test_default_pipeline_runs_the_vector_kernels(monkeypatch, transport):
     """The default deployment runs the same SQL engine: scan -> filter ->
     join -> project -> transform UDFs build no row tuple, bind no tuple
-    evaluator but a bare column's and take no fallback; rows are built only
-    for the stream sink, which has no batch kernel and sends ``R`` frames —
-    and every SQL-side ledger category equals the columnar deployment's."""
+    evaluator over data but a bare column's and take no fallback; rows are
+    built only for the stream sink, which has no batch kernel and sends ``R``
+    frames — and every SQL-side ledger category equals the columnar
+    deployment's."""
     deps = [make_deployment(columnar=c, transport=transport) for c in (False, True)]
     workloads = [generate_retail(d.engine, d.dfs, num_users=80, num_carts=600) for d in deps]
     declined, pivoted, forbidden_calls = [], [], []
@@ -454,13 +455,24 @@ def test_default_pipeline_runs_the_vector_kernels(monkeypatch, transport):
     monkeypatch.setattr(ColumnVector, "from_texts", forbidden)
     monkeypatch.setattr(executor_module, "_split_columns", forbidden)
     monkeypatch.setattr(Executor, "_tuple_join", forbidden)
+
+    def over_data(bind_batch):
+        # Binding over no columns folds a table UDF's constant arguments at
+        # plan time; binding over columns is the tuple evaluator on data.
+        def guarded(self, binder):
+            if len(binder.schema):
+                forbidden(self, binder)
+            return bind_batch(self, binder)
+
+        return guarded
+
     expr_classes = [Expr]
     for cls in expr_classes:
         expr_classes.extend(cls.__subclasses__())
         # A bare column of a select list over a UDF's row output (pass 1's
         # DISTINCT over local_distinct) is a tuple position, not a fallback.
         if "bind_batch" in vars(cls) and cls is not ColumnRef:
-            monkeypatch.setattr(cls, "bind_batch", forbidden)
+            monkeypatch.setattr(cls, "bind_batch", over_data(vars(cls)["bind_batch"]))
     subset_spec = TransformSpec(recode=("abandoned",), dummy=(), label="abandoned")
     for dep, wl in zip(deps, workloads):
         for sql, spec in (

@@ -92,6 +92,11 @@ QUERIES = [
     "SELECT t1.grp, COUNT(*) FROM t1, t2 WHERE t1.grp = t2.gid GROUP BY t1.grp",
     # union all
     "SELECT id FROM t1 WHERE grp = 0 UNION ALL SELECT id FROM t1 WHERE grp = 1",
+    # lazy operands: COALESCE, IN with a NULL member, a guarded division
+    "SELECT id, COALESCE(val, 0) FROM t1",
+    "SELECT id FROM t1 WHERE grp IN (1, NULL)",
+    "SELECT id FROM t1 WHERE grp NOT IN (1, NULL)",
+    "SELECT id, 100 / val FROM t1 WHERE val <> 0 AND 100 / val > 1",
 ]
 
 

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro import make_deployment
 from repro.cluster.cluster import make_paper_cluster
 from repro.common.errors import ExecutionError
 from repro.hdfs.filesystem import DistributedFileSystem
@@ -74,6 +75,25 @@ class TestBasicQueries:
             "WHERE s.age > 40"
         )
         assert sorted(rows) == [(57,), (61,)]
+
+
+class TestDivisionByZero:
+    @pytest.fixture()
+    def engine(self):
+        engine = make_deployment(num_workers=2).engine
+        engine.create_table("t", Schema.of(("a", DataType.INT)), [(0,), (2,), (5,), (10,)])
+        return engine
+
+    @pytest.mark.parametrize(
+        "sql", ["SELECT 10 / a FROM t", "SELECT a % 0 FROM t", "SELECT mod(a, 0) FROM t"]
+    )
+    def test_raises_a_typed_error(self, engine, sql):
+        with pytest.raises(ExecutionError, match="division by zero in"):
+            engine.query_rows(sql)
+
+    def test_a_guarded_division_skips_the_zero(self, engine):
+        rows = engine.query_rows("SELECT a FROM t WHERE a <> 0 AND 10 / a > 1")
+        assert sorted(rows) == [(2,), (5,)]
 
 
 class TestJoins:
