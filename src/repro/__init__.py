@@ -129,9 +129,11 @@ def make_deployment(
     the same at every setting.
 
     There is one SQL engine: every deployment's executor runs vectorized
-    kernels over typed ColumnBatch partitions, and an expression or UDF
-    without a kernel falls back per partition to the tuple operators (one
-    ``columnar.fallback`` tick each), never fails.  ``columnar=`` selects
+    kernels over typed ColumnBatch partitions (a value the typed storage
+    cannot hold makes an ``object`` column of Python values), and an
+    expression, UDF or column without a kernel falls back per partition to
+    the tuple evaluator (one ``columnar.fallback`` tick each; a join keyed
+    through Python values, one per statement), never fails.  ``columnar=`` selects
     only the wire and the ingest, by the stream sink the pipeline
     registers.  With ``True`` it is
     :class:`~repro.transfer.stream_udf.ColumnarStreamTransferUDF`, which

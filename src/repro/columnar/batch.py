@@ -26,10 +26,12 @@ layout the RCOL1 part files use, so a columnar scan adopts file
 dictionaries without re-encoding, and transforms can recode by mapping the
 (tiny) dictionary instead of the (huge) value column.
 
-Conversion from rows is strict about Python types (an ``int`` in a DOUBLE
-column widens, but a ``float`` in an INT column raises), so callers can
-attempt batch construction and fall back to the row representation on any
-mismatch instead of silently corrupting values.
+Conversion from rows never coerces a value it cannot store faithfully: an
+``int`` in a DOUBLE column widens, but a column holding a value its typed
+storage cannot represent (an INT beyond int64, a ``bool`` in an INT column,
+an ``int`` in a VARCHAR column) is an ``object`` array of the Python values,
+with no dictionary.  Every batch kernel declines such a column, so the
+operators' tuple evaluator reads it with Python's semantics.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sql.types import DataType, Schema
+from repro.sql.types import DataType, Schema, estimate_value_bytes
 
 _NUMPY_DTYPE = {
     DataType.INT: np.int64,
@@ -96,6 +98,12 @@ def _coerce(dtype: DataType, value):
     return value
 
 
+def _boxed(values) -> np.ndarray:
+    """``values`` as a one-dimensional ``object`` array (a tuple stays one
+    element)."""
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
 @dataclass
 class ColumnVector:
     """One typed column: data array + validity mask (+ dictionary)."""
@@ -109,46 +117,49 @@ class ColumnVector:
     def from_values(cls, dtype: DataType, values: list) -> "ColumnVector":
         """Build a vector from Python values (``None`` marks NULL).
 
-        Raises ``TypeError``/``OverflowError`` on a value the storage type
-        cannot represent faithfully — callers fall back to rows.
+        Total: where one value does not fit the typed storage (``_coerce``
+        or numpy refuses it), the column is an ``object`` array of the values.
         """
         n = len(values)
         # Fast path: a clean, NULL-free column skips per-value _coerce.
         # Exact types (not isinstance) keep _coerce's strictness — bool is
         # not an INT and not a DOUBLE operand here; mixed, subclassed or
         # NULL-bearing columns take the per-value path below.
-        if set(map(type, values)) <= _EXACT_TYPES[dtype]:
+        try:
+            if set(map(type, values)) <= _EXACT_TYPES[dtype]:
+                if dtype is DataType.VARCHAR:
+                    codes, dictionary = _dictionary_codes(values)
+                    return cls(dtype, codes, np.ones(n, dtype=np.bool_), dictionary)
+                return cls(
+                    dtype,
+                    np.array(values, dtype=_NUMPY_DTYPE[dtype]),
+                    np.ones(n, dtype=np.bool_),
+                )
+            valid = np.fromiter((v is not None for v in values), dtype=np.bool_, count=n)
             if dtype is DataType.VARCHAR:
-                codes, dictionary = _dictionary_codes(values)
-                return cls(dtype, codes, np.ones(n, dtype=np.bool_), dictionary)
-            return cls(
-                dtype,
-                np.array(values, dtype=_NUMPY_DTYPE[dtype]),
-                np.ones(n, dtype=np.bool_),
+                codes = np.full(n, -1, dtype=np.int32)
+                codes[valid], dictionary = _dictionary_codes(
+                    [_coerce(dtype, v) for v in values if v is not None]
+                )
+                return cls(dtype, codes, valid, dictionary)
+            zero = False if dtype is DataType.BOOLEAN else 0
+            data = np.fromiter(
+                (zero if v is None else _coerce(dtype, v) for v in values),
+                dtype=_NUMPY_DTYPE[dtype],
+                count=n,
             )
-        valid = np.fromiter((v is not None for v in values), dtype=np.bool_, count=n)
-        if dtype is DataType.VARCHAR:
-            codes = np.full(n, -1, dtype=np.int32)
-            codes[valid], dictionary = _dictionary_codes(
-                [_coerce(dtype, v) for v in values if v is not None]
-            )
-            return cls(dtype, codes, valid, dictionary)
-        zero = False if dtype is DataType.BOOLEAN else 0
-        data = np.fromiter(
-            (zero if v is None else _coerce(dtype, v) for v in values),
-            dtype=_NUMPY_DTYPE[dtype],
-            count=n,
-        )
-        return cls(dtype, data, valid)
+            return cls(dtype, data, valid)
+        except (TypeError, OverflowError):
+            valid = np.fromiter((v is not None for v in values), dtype=np.bool_, count=n)
+            return cls(dtype, _boxed(values), valid)
 
     @classmethod
     def from_texts(cls, dtype: DataType, texts: list[str]) -> "ColumnVector":
         """``from_values(dtype, dtype.parse_column(texts))`` for one column of
         CSV fields, without the Python values in between: numerics parse
         into the array, VARCHAR fields become dictionary codes (-1 for a
-        NULL marker).  A numeric column with a NULL marker or an unparsable
-        field takes that expression instead; an INT beyond int64 raises
-        ``OverflowError`` either way."""
+        NULL marker).  A numeric column with a NULL marker, an unparsable
+        field or an INT beyond int64 takes that expression instead."""
         n = len(texts)
         if dtype is DataType.VARCHAR:
             codes, dictionary = _dictionary_codes(texts)
@@ -163,7 +174,7 @@ class ColumnVector:
                     map(_TEXT_PARSERS[dtype], texts), dtype=_NUMPY_DTYPE[dtype], count=n
                 )
                 return cls(dtype, data, np.ones(n, dtype=np.bool_))
-            except ValueError:
+            except (ValueError, OverflowError):
                 pass
         return cls.from_values(dtype, dtype.parse_column(texts))
 
@@ -244,6 +255,11 @@ class ColumnVector:
     def __len__(self) -> int:
         return len(self.data)
 
+    @property
+    def is_object(self) -> bool:
+        """Whether the column holds Python values, not typed storage."""
+        return self.data.dtype == object
+
     def take(self, indices: np.ndarray) -> "ColumnVector":
         return ColumnVector(
             self.dtype, self.data[indices], self.valid[indices], self.dictionary
@@ -251,7 +267,7 @@ class ColumnVector:
 
     def to_pylist(self) -> list:
         """Back to Python values, ``None`` where invalid."""
-        if self.dtype is DataType.VARCHAR:
+        if self.dtype is DataType.VARCHAR and not self.is_object:
             # NULL's code -1 picks the None that follows the last word
             words = np.array([*(self.dictionary or []), None], dtype=object)
             return words[np.where(self.valid, self.data, -1)].tolist()
@@ -264,6 +280,9 @@ class ColumnVector:
     def value_bytes(self) -> np.ndarray:
         """Seed-formula byte estimate of each value (``estimate_value_bytes``:
         NULL=1, bool=1, int/float=8, str=len+4)."""
+        if self.is_object:
+            values = self.to_pylist()
+            return np.fromiter(map(estimate_value_bytes, values), dtype=np.int64, count=len(values))
         if self.dtype is DataType.BOOLEAN:
             return np.ones(len(self.data), dtype=np.int64)  # 1 byte either way
         if self.dtype is DataType.VARCHAR:
@@ -288,7 +307,7 @@ class ColumnBatch:
     def from_rows(cls, schema: Schema, rows: list[tuple]) -> "ColumnBatch":
         """Pivot row tuples into typed columns (single ``zip(*rows)`` pass).
 
-        Raises on a type the storage cannot represent (callers keep rows).
+        Raises ``TypeError`` only when the rows are not as wide as the schema.
         """
         rows = rows if isinstance(rows, list) else list(rows)
         pivoted = list(zip(*rows)) if rows else [[] for _ in schema]
@@ -351,7 +370,8 @@ class ColumnBatch:
     @classmethod
     def concat(cls, schema: Schema, batches: list["ColumnBatch"]) -> "ColumnBatch":
         """Stack batches vertically.  VARCHAR columns are re-mapped into a
-        union dictionary (dictionary-sized work, not row-sized)."""
+        union dictionary (dictionary-sized work, not row-sized); a column
+        that is ``object`` in any batch is ``object`` in the result."""
         if len(batches) == 1:
             return batches[0]
         if not batches:
@@ -363,7 +383,10 @@ class ColumnBatch:
         for index, column in enumerate(schema):
             parts = [b.columns[index] for b in batches]
             valid = np.concatenate([p.valid for p in parts])
-            if column.dtype is DataType.VARCHAR:
+            if any(p.is_object for p in parts):
+                data = np.concatenate([_boxed(p.to_pylist()) for p in parts])
+                vectors.append(ColumnVector(column.dtype, data, valid))
+            elif column.dtype is DataType.VARCHAR:
                 union: list[str] = []
                 positions: dict[str, int] = {}
                 remapped = []
@@ -422,7 +445,9 @@ def batch_to_xy(
     feature_cols = []
     label = None
     for i, col in enumerate(batch.columns):
-        if col.dtype is DataType.VARCHAR:
+        if col.is_object:
+            values = np.array(col.to_pylist(), dtype=np.float64)
+        elif col.dtype is DataType.VARCHAR:
             words = np.fromiter(
                 (float(w) for w in col.dictionary or []),
                 dtype=np.float64,

@@ -8,6 +8,7 @@ project/table-function output records ``sql.output`` — the categories the
 cost model converts into paper-scale seconds.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
@@ -39,7 +40,7 @@ from repro.sql.plan import (
     LogicalUnionAll,
 )
 from repro.sql.planner import BROADCAST_THRESHOLD_BYTES
-from repro.sql.types import DataType, Schema, estimate_row_bytes, estimate_rows_bytes
+from repro.sql.types import Schema, estimate_row_bytes, estimate_rows_bytes
 from repro.sql.udf import TableUDF, UdfContext
 
 
@@ -53,7 +54,7 @@ def partition_rows(partition) -> list[tuple]:
 
 
 # Runtime conditions under which a vectorized kernel abdicates to the row
-# path: explicit fallbacks, plus type/shape refusals from strict conversion.
+# path: explicit fallbacks, plus numpy's type/shape errors on unexpected data.
 _VECTOR_FALLBACK_ERRORS = (TypeError, ValueError, OverflowError)
 
 
@@ -61,10 +62,12 @@ _VECTOR_FALLBACK_ERRORS = (TypeError, ValueError, OverflowError)
 class DistRelation:
     """An intermediate result: one partition per worker slot.
 
-    A partition is a :class:`~repro.columnar.batch.ColumnBatch`, or a
-    ``list[tuple]`` where an operator without a vector kernel (or a counted
-    fallback) produced it.  Operators with vector kernels consume batches
-    directly; everything else goes through :func:`partition_rows`.
+    A partition is a :class:`~repro.columnar.batch.ColumnBatch` — every
+    scan, filter, projection and join produces one — or a ``list[tuple]``
+    where a row-only operator (DISTINCT, aggregate, sort, limit, union, a
+    UDF without a batch kernel) produced it.  Operators with vector kernels
+    consume batches directly; everything else goes through
+    :func:`partition_rows`.
     """
 
     schema: Schema
@@ -214,39 +217,24 @@ class Executor:
     def _scan_table(self, plan: LogicalScan) -> list:
         """An in-memory table's kept columns, a batch per partition (a table
         with another partition count is dealt out row ``i`` to slot
-        ``i % n``).  A slot holding a value the typed storage refuses keeps
-        its rows."""
+        ``i % n``)."""
         table, n, width = plan.table, self._ctx.num_workers, len(plan.table.schema)
         if len(table.partitions) == n:
             slots = [p.rows for p in table.partitions]
         else:
             rows = table.all_rows()
             slots = [rows[w::n] for w in range(n)]
-        return [self._to_batch(plan.schema, _project_rows(s, plan.columns, width)) for s in slots]
-
-    def _to_batch(self, schema: Schema, rows: list[tuple]):
-        """Best-effort columnarization: rows whose Python types don't fit
-        the typed storage stay rows (the adapters handle either shape)."""
-        try:
-            return ColumnBatch.from_rows(schema, rows)
-        except _VECTOR_FALLBACK_ERRORS:
-            self._count_columnar_fallback()
-            return rows
+        return [
+            ColumnBatch.from_rows(plan.schema, _project_rows(s, plan.columns, width))
+            for s in slots
+        ]
 
     def _count_columnar_fallback(self) -> None:
         """Every vector->tuple degradation (unsupported tree at compile
-        time, VectorFallback at runtime, values that refuse typed storage)
+        time, VectorFallback at runtime, a join keyed through Python values)
         charges one ``columnar.fallback`` tick, so no deployment can quietly
         decay into the tuple operators."""
         self._ctx.ledger.add("columnar.fallback", 1)
-
-    def _gather(self, schema: Schema, parts: list):
-        """One worker's per-split parts as one partition: a batch when every
-        part is one, else (one tick) their rows."""
-        if all(isinstance(part, ColumnBatch) for part in parts):
-            return ColumnBatch.concat(schema, parts)
-        self._count_columnar_fallback()
-        return [row for part in parts for row in partition_rows(part)]
 
     def _scan_external(self, plan: LogicalScan) -> list:
         table = plan.table
@@ -275,7 +263,7 @@ class Executor:
                 with fmt.create_record_reader(split, worker_conf) as reader:
                     raw = b"\n".join(reader.chunks())
                     parts.append(_scan_split(raw, plan, split))
-            return self._gather(plan.schema, parts)
+            return ColumnBatch.concat(plan.schema, parts)
 
         return self._map_partitions(assignments, read_worker)
 
@@ -288,13 +276,8 @@ class Executor:
 
         The scan skips row materialization entirely: each part file decodes
         straight into a :class:`~repro.columnar.batch.ColumnBatch`, adopting
-        the file's dictionary encoding.  A value the typed storage refuses
-        (an INT beyond int64) decodes that file as rows."""
-        from repro.columnar.format import (
-            ColumnarInputFormat,
-            decode_partition,
-            decode_partition_batch,
-        )
+        the file's dictionary encoding."""
+        from repro.columnar.format import ColumnarInputFormat, decode_partition_batch
 
         table = plan.table
         conf = JobConf({"input.path": table.external.path}, dfs=self._ctx.dfs)
@@ -308,15 +291,11 @@ class Executor:
             parts = []
             for split in worker_splits:
                 data = self._ctx.dfs.read_bytes(split.path, client_ip=node.ip)
-                try:
-                    batch = decode_partition_batch(data, table.schema, plan.columns)
-                    parts.append(
-                        ColumnBatch.from_columns(plan.schema, batch.columns, batch.num_rows)
-                    )
-                except _VECTOR_FALLBACK_ERRORS:
-                    _names, rows = decode_partition(data)
-                    parts.append(_project_rows(rows, plan.columns, len(table.schema)))
-            return self._gather(plan.schema, parts)
+                batch = decode_partition_batch(data, table.schema, plan.columns)
+                parts.append(
+                    ColumnBatch.from_columns(plan.schema, batch.columns, batch.num_rows)
+                )
+            return ColumnBatch.concat(plan.schema, parts)
 
         return self._map_partitions(assignments, read_worker)
 
@@ -342,7 +321,7 @@ class Executor:
                         self._count_columnar_fallback()
                 rows = partition.to_rows()
                 kept = [r for r, keep in zip(rows, evaluate()(rows)) if keep is True]
-                return self._to_batch(relation.schema, kept)
+                return ColumnBatch.from_rows(relation.schema, kept)
             rows = partition
             # One batch evaluation per partition, then a zip-scan: no
             # per-row closure-tree dispatch on the hot path.
@@ -373,7 +352,7 @@ class Executor:
                 rows = partition.to_rows()
                 columns = [fn(rows) for fn in evaluators()]
                 out_rows = list(zip(*columns)) if rows else []
-                return self._to_batch(plan.schema, out_rows)
+                return ColumnBatch.from_rows(plan.schema, out_rows)
             rows = partition
             # Column-at-a-time evaluation, re-zipped into row tuples.
             columns = [fn(rows) for fn in evaluators()]
@@ -401,7 +380,7 @@ class Executor:
                 # Seam adapter: a row-only operator upstream (sort, limit,
                 # global distinct, ...) left the vector kernels; re-batch so
                 # the UDF's batch kernel still engages.
-                partition = self._to_batch(child.schema, partition)
+                partition = ColumnBatch.from_rows(child.schema, partition)
             if isinstance(partition, ColumnBatch):
                 # A UDF with a batch kernel consumes the batch directly;
                 # returning None means "no batch path for these args".
@@ -436,12 +415,7 @@ class Executor:
         if broadcast_bytes is None:
             build_side = "right"
 
-        try:
-            relation = self._array_join(plan, left, right, build_side, broadcast_bytes)
-        except (vectorized.VectorFallback, *_VECTOR_FALLBACK_ERRORS):
-            self._count_columnar_fallback()
-            relation = self._tuple_join(plan, left, right, build_side, broadcast_bytes)
-
+        relation = self._array_join(plan, left, right, build_side, broadcast_bytes)
         if plan.residual is not None:
             if plan.kind == "left":
                 raise ExecutionError(
@@ -451,193 +425,114 @@ class Executor:
         return relation
 
     def _array_join(self, plan, left, right, build_side, broadcast_bytes) -> DistRelation:
-        """The join (DESIGN §10): key arrays in, gathered
-        columns out, no row tuple in between.  A broadcast join probes each
-        probe-side partition against the one :class:`_JoinIndex`; a shuffle
-        join first re-buckets the probe side by ``hash(key) % n`` and charges
-        both sides' moved bytes.  Its build side is probed whole: equal keys
-        hash to the same slot, so slot *t* finds exactly the build rows a
-        physical shuffle would have sent there, in the same order."""
+        """The join (DESIGN §10): key arrays in, gathered columns out, no row
+        tuple in between; a row input (DISTINCT, aggregate, sort, ...) is
+        pivoted first.  A broadcast join probes each probe-side partition
+        against the one :class:`_JoinIndex`; a shuffle join first re-buckets
+        the probe side by ``hash(key) % n`` and charges both sides' moved
+        bytes.  Its build side is probed whole: equal keys hash to the same
+        slot, so slot *t* finds exactly the build rows a physical shuffle
+        would have sent there, in the same order."""
         n = self._ctx.num_workers
         build, probe = (left, right) if build_side == "left" else (right, left)
-        build_keys, probe_keys = (
+        builds, probes = (
+            [p if isinstance(p, ColumnBatch) else ColumnBatch.from_rows(r.schema, p)
+             for p in r.partitions]
+            for r in (build, probe)
+        )
+        build_exprs, probe_exprs = (
             (plan.left_keys, plan.right_keys)
             if build_side == "left"
             else (plan.right_keys, plan.left_keys)
         )
-        # A cartesian product joins on the constant 0, as the tuple join does.
-        build_key_fn = vectorized.compile_columns(build_keys or [Literal(0)], build.schema)
-        probe_key_fn = vectorized.compile_columns(probe_keys or [Literal(0)], probe.schema)
-        if build_key_fn is None or probe_key_fn is None:
-            raise vectorized.VectorFallback("join key without a vector kernel")
-        if not all(isinstance(p, ColumnBatch) for p in left.partitions + right.partitions):
-            raise vectorized.VectorFallback("join input left the vector kernels")
+        # A cartesian product joins on the constant 0.
+        build_keys = self._key_columns(build_exprs or [Literal(0)], build.schema)
+        probe_keys = self._key_columns(probe_exprs or [Literal(0)], probe.schema)
 
-        whole = ColumnBatch.concat(build.schema, build.partitions)
-        index = _JoinIndex(whole, build_key_fn(whole), outer=plan.kind == "left")
-        probe_parts = probe.partitions
+        whole = ColumnBatch.concat(build.schema, builds)
+        probe_key_parts = [probe_keys(p) for p in probes]
+        index = _JoinIndex(whole, build_keys(whole), probe_key_parts, outer=plan.kind == "left")
+        if index.python:
+            self._count_columnar_fallback()
+        probe_codes = [index.codes(keys, len(p)) for keys, p in zip(probe_key_parts, probes)]
         if broadcast_bytes is None:
 
-            def placement(side, key_fn) -> tuple[list, int]:
+            def placement(parts, key_parts) -> tuple[list, int]:
                 # each partition's slots; bytes of the rows that change slot
-                slots = [_hash_slots(key_fn(p), n) for p in side.partitions]
+                slots = [_hash_slots(keys, len(p), n) for p, keys in zip(parts, key_parts)]
                 moved = sum(
                     int(p.row_bytes()[slot != source].sum())
-                    for source, (p, slot) in enumerate(zip(side.partitions, slots))
+                    for source, (p, slot) in enumerate(zip(parts, slots))
                 )
                 return slots, moved
 
-            probe_slots, probe_moved = placement(probe, probe_key_fn)
-            charges = [placement(build, build_key_fn)[1], probe_moved]
-            probe_parts = [
+            probe_slots, probe_moved = placement(probes, probe_key_parts)
+            charges = [placement(builds, map(build_keys, builds))[1], probe_moved]
+            probes = [
                 ColumnBatch.concat(
-                    probe.schema,
-                    [p.filter(slot == target) for p, slot in zip(probe_parts, probe_slots)],
+                    probe.schema, [p.filter(slot == t) for p, slot in zip(probes, probe_slots)]
                 )
-                for target in range(n)
+                for t in range(n)
+            ]
+            probe_codes = [
+                np.concatenate([c[slot == t] for c, slot in zip(probe_codes, probe_slots)])
+                for t in range(n)
             ]
         else:
             charges = [broadcast_bytes * max(n - 1, 0)]
 
-        def probe_partition(_w: int, partition: ColumnBatch) -> ColumnBatch:
-            probe_rows, build_rows = index.match(probe_key_fn(partition))
+        def probe_partition(w: int, partition: ColumnBatch) -> ColumnBatch:
+            probe_rows, build_rows = index.match(probe_codes[w])
             mine = partition.take(probe_rows).columns
             other = index.batch.take(build_rows).columns
             columns = mine + other if build_side == "right" else other + mine
             return ColumnBatch.from_columns(plan.schema, columns, len(probe_rows))
 
-        partitions = self._map_partitions(probe_parts, probe_partition)
-        for moved in charges:  # only once nothing can fall back any more
+        partitions = self._map_partitions(probes, probe_partition)
+        for moved in charges:
             self._ctx.ledger.add("sql.shuffle", moved)
         return DistRelation(schema=plan.schema, partitions=partitions)
 
-    def _tuple_join(self, plan, left, right, build_side, broadcast_bytes) -> DistRelation:
-        """The hash join over key tuples: the fallback for key expressions
-        without a vector kernel and inputs that left the vector kernels."""
-        left_binder, right_binder = self._binder(left.schema), self._binder(right.schema)
-        left_key_fns = [k.bind_batch(left_binder) for k in plan.left_keys]
-        right_key_fns = [k.bind_batch(right_binder) for k in plan.right_keys]
-        if not left_key_fns:
-            # Cartesian product: every row joins on the constant 0.
-            left_key_fns = [lambda rows: [0] * len(rows)]
-            right_key_fns = [lambda rows: [0] * len(rows)]
-        if broadcast_bytes is None:
-            return self._shuffle_join(plan, left, right, left_key_fns, right_key_fns)
-        return self._broadcast_join(
-            plan, left, right, left_key_fns, right_key_fns, build_side, broadcast_bytes
-        )
+    def _key_columns(self, exprs: list, schema: Schema):
+        """``batch -> [key column, ...]``: a key's :class:`~repro.sql.
+        vectorized.VCol`, or the Python values ``bind_batch`` computes where
+        its kernel declines the expression or the batch."""
+        kernels = [vectorized.compile_columns([e], schema) for e in exprs]
+        evaluators = [cache(lambda e=e: e.bind_batch(self._binder(schema))) for e in exprs]
 
-    def _broadcast_join(
-        self, plan, left, right, left_key_fns, right_key_fns, build_side, build_bytes
-    ) -> DistRelation:
-        if build_side == "left":
-            build, probe = left, right
-            build_key_fns, probe_key_fns = left_key_fns, right_key_fns
-        else:
-            build, probe = right, left
-            build_key_fns, probe_key_fns = right_key_fns, left_key_fns
+        def column(kernel, evaluate, batch: ColumnBatch):
+            if kernel is not None:
+                try:
+                    return kernel(batch)[0]
+                except (vectorized.VectorFallback, *_VECTOR_FALLBACK_ERRORS):
+                    pass
+            return evaluate()(batch.to_rows())
 
-        build_rows = build.all_rows()
-        replication_cost = build_bytes * max(self._ctx.num_workers - 1, 0)
-        self._ctx.ledger.add("sql.shuffle", replication_cost)
-
-        hash_table: dict[tuple, list[tuple]] = {}
-        for row, key in zip(build_rows, _batch_key_tuples(build_key_fns, build_rows)):
-            if any(k is None for k in key):
-                continue
-            hash_table.setdefault(key, []).append(row)
-
-        left_join = plan.kind == "left"
-        null_pad = (None,) * len(build.schema)
-
-        def probe_partition(_w: int, partition) -> list[tuple]:
-            rows = partition_rows(partition)
-            out: list[tuple] = []
-            for row, key in zip(rows, _batch_key_tuples(probe_key_fns, rows)):
-                matches = (
-                    hash_table.get(key, ()) if not any(k is None for k in key) else ()
-                )
-                if matches:
-                    for other in matches:
-                        out.append(
-                            row + other if build_side == "right" else other + row
-                        )
-                elif left_join:
-                    # probe side is the preserved (left) side here
-                    out.append(row + null_pad)
-            return out
-
-        partitions = self._map_partitions(probe.partitions, probe_partition)
-        return DistRelation(schema=plan.schema, partitions=partitions)
-
-    def _shuffle_join(
-        self, plan, left, right, left_key_fns, right_key_fns
-    ) -> DistRelation:
-        n = self._ctx.num_workers
-        left_parts, left_keys = self._repartition_by_key(left, left_key_fns)
-        right_parts, right_keys = self._repartition_by_key(right, right_key_fns)
-        left_join = plan.kind == "left"
-        null_pad = (None,) * len(right.schema)
-
-        def local_join(worker_id: int, _ignored) -> list[tuple]:
-            build: dict[tuple, list[tuple]] = {}
-            for row, key in zip(right_parts[worker_id], right_keys[worker_id]):
-                if any(k is None for k in key):
-                    continue
-                build.setdefault(key, []).append(row)
-            out: list[tuple] = []
-            for row, key in zip(left_parts[worker_id], left_keys[worker_id]):
-                matches = build.get(key, ()) if not any(k is None for k in key) else ()
-                if matches:
-                    for other in matches:
-                        out.append(row + other)
-                elif left_join:
-                    out.append(row + null_pad)
-            return out
-
-        partitions = self._map_partitions([None] * n, local_join)
-        return DistRelation(schema=plan.schema, partitions=partitions)
-
-    def _repartition_by_key(
-        self, relation: DistRelation, key_fns
-    ) -> tuple[list[list[tuple]], list[list[tuple]]]:
-        """Hash-repartition on batch-evaluated key tuples.
-
-        Returns the row buckets *and* the matching key buckets so downstream
-        operators (the local join build/probe) reuse the key tuples instead
-        of recomputing them per row."""
-        n = self._ctx.num_workers
-        buckets = self._empty_partitions()
-        key_buckets: list[list[tuple]] = [[] for _ in range(n)]
-        moved_bytes = 0
-        for source, partition in enumerate(relation.partitions):
-            rows = partition_rows(partition)
-            moved: list[tuple] = []
-            for row, key in zip(rows, _batch_key_tuples(key_fns, rows)):
-                target = hash(key) % n
-                if target != source:
-                    moved.append(row)
-                buckets[target].append(row)
-                key_buckets[target].append(key)
-            moved_bytes += estimate_rows_bytes(moved)
-        self._ctx.ledger.add("sql.shuffle", moved_bytes)
-        return buckets, key_buckets
+        return lambda batch: [column(k, e, batch) for k, e in zip(kernels, evaluators)]
 
     # --------------------------------------------------------------- distinct
 
     def _exec_distinct(self, plan: LogicalDistinct) -> DistRelation:
         child = self._execute(plan.child)
+        n = self._ctx.num_workers
         local = self._map_partitions(
             child.partitions,
             lambda _w, rows: list(dict.fromkeys(partition_rows(rows))),
         )
-        # Key tuple is (row,) — identical hash placement to the seed path.
-        shuffled, _keys = self._repartition_by_key(
-            DistRelation(schema=child.schema, partitions=local),
-            [lambda rows: rows],
-        )
+        # Hash-repartition on the key tuple (row,): the seed path's placement.
+        buckets = self._empty_partitions()
+        moved_bytes = 0
+        for source, rows in enumerate(local):
+            moved: list[tuple] = []
+            for row in rows:
+                target = hash((row,)) % n
+                if target != source:
+                    moved.append(row)
+                buckets[target].append(row)
+            moved_bytes += estimate_rows_bytes(moved)
+        self._ctx.ledger.add("sql.shuffle", moved_bytes)
         partitions = self._map_partitions(
-            shuffled, lambda _w, rows: list(dict.fromkeys(rows))
+            buckets, lambda _w, rows: list(dict.fromkeys(rows))
         )
         return DistRelation(schema=plan.schema, partitions=partitions)
 
@@ -787,21 +682,35 @@ class Executor:
 
 
 class _JoinIndex:
-    """The build side of an array join: its key columns factorised into one
-    int64 code per row — mixed radix over the key positions, a VARCHAR part
-    being its dictionary code and a numeric part its rank among the build's
-    distinct values — and the codes stably argsorted once, so a probe is two
-    ``searchsorted`` calls and rows of equal key keep build order.  A row
-    with a NULL (or NaN) key part has no code and never matches."""
+    """The build side of a join: each row's key factorised into one int64
+    code, the codes stably argsorted once, so a probe is two ``searchsorted``
+    calls and rows of equal key keep build order.
 
-    def __init__(self, batch: ColumnBatch, keys: list, outer: bool):
-        self._domains = [
-            {word: code for code, word in enumerate(dict.fromkeys(key.dictionary))}
-            if key.dictionary is not None
-            else np.unique(key.values)
-            for key in keys
-        ]
-        codes = self._codes(keys)
+    The code is a mixed radix over the key positions.  A position that is a
+    typed array on every side is coded by the build's values: a VARCHAR part
+    is its dictionary code, a numeric part its rank among the build's
+    distinct values.  The other positions — Python values from
+    ``bind_batch``, VARCHAR against non-VARCHAR, INT against DOUBLE beyond
+    2**53, where numpy's comparison is not Python's — are coded together
+    through one Python-value domain: a dict over the build side's key
+    tuples, which matches by ``==`` and ``hash`` as a tuple hash join does.
+    So is every position when the radix would pass 2**62.  A row with a
+    NULL (or NaN) key part has no code and never matches."""
+
+    def __init__(self, batch: ColumnBatch, keys: list, probes: list[list], outer: bool):
+        positions = range(len(keys))
+        self._domains = {
+            p: _typed_domain(keys[p])
+            for p in positions
+            if _typed_position(keys[p], [probe[p] for probe in probes])
+        }
+        self.python = [p for p in positions if p not in self._domains]
+        self._tuples = _tuple_domain(keys, self.python)
+        domains = (*self._domains.values(), self._tuples)
+        if math.prod(max(len(domain), 1) for domain in domains) >= 2**62:
+            self._domains, self.python = {}, list(positions)
+            self._tuples = _tuple_domain(keys, self.python)
+        codes = self.codes(keys, batch.num_rows)
         order = np.argsort(codes, kind="stable")[np.count_nonzero(codes < 0) :]
         self._sorted = codes[order]
         # One slot past the sorted rows stands for "no match": the all-NULL
@@ -815,15 +724,13 @@ class _JoinIndex:
             )
         self.batch = batch
 
-    def _codes(self, keys: list) -> np.ndarray:
+    def codes(self, keys: list, num_rows: int) -> np.ndarray:
         """The build-side code of every row's key, -1 where a key part is
         NULL or is no build-side value."""
-        codes = np.zeros(len(keys[0].values), dtype=np.int64)
-        matched = np.ones(len(codes), dtype=np.bool_)
-        radix = 1
-        for key, domain in zip(keys, self._domains):
-            if isinstance(domain, dict) != (key.dictionary is not None):
-                raise vectorized.VectorFallback("VARCHAR key joined to a non-VARCHAR key")
+        codes = np.zeros(num_rows, dtype=np.int64)
+        matched = np.ones(num_rows, dtype=np.bool_)
+        for position, domain in self._domains.items():
+            key = keys[position]
             if isinstance(domain, dict):
                 lookup = np.fromiter(
                     (domain.get(word, -1) for word in key.dictionary),
@@ -832,24 +739,26 @@ class _JoinIndex:
                 )
                 part = np.append(lookup, -1)[np.where(key.valid, key.values, -1)]
             elif not len(domain):
-                part = np.full(len(codes), -1)
+                part = np.full(num_rows, -1)
             else:
-                _refuse_inexact_comparison(domain, key.values)
                 rank = np.searchsorted(domain, key.values).clip(max=len(domain) - 1)
                 part = np.where(key.valid & (domain[rank] == key.values), rank, -1)
-            size = max(len(domain), 1)
-            radix *= size
-            if radix >= 2**62:
-                raise vectorized.VectorFallback("join key space exceeds int64")
-            codes = codes * size + part
+            codes = codes * max(len(domain), 1) + part
+            matched &= part >= 0
+        if self.python:
+            part = np.fromiter(
+                (self._tuples.get(key, -1) for key in _key_tuples(keys, self.python)),
+                dtype=np.int64,
+                count=num_rows,
+            )
+            codes = codes * max(len(self._tuples), 1) + part
             matched &= part >= 0
         return np.where(matched, codes, -1)
 
-    def match(self, keys: list) -> tuple[np.ndarray, np.ndarray]:
-        """``(probe row, build row)`` index pairs of the join, in probe
-        order and then build order.  An outer join pairs an unmatched probe
-        row with the NULL row, once."""
-        codes = self._codes(keys)
+    def match(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(probe row, build row)`` index pairs of the join of the probe
+        rows' ``codes``, in probe order and then build order.  An outer join
+        pairs an unmatched probe row with the NULL row, once."""
         first = np.searchsorted(self._sorted, codes, "left")
         counts = np.searchsorted(self._sorted, codes, "right") - first
         first[counts == 0] = len(self._sorted)
@@ -861,56 +770,106 @@ class _JoinIndex:
         return probe_rows, self._order[np.repeat(first, counts) + within_run]
 
 
-def _refuse_inexact_comparison(a: np.ndarray, b: np.ndarray) -> None:
-    """numpy compares int64 with float64 in float64, Python compares them
-    exactly: past 2**53 the two disagree, so the tuple join takes over."""
-    if {a.dtype.kind, b.dtype.kind} == {"i", "f"}:
-        ints = a if a.dtype.kind == "i" else b
-        if len(ints) and max(-int(ints.min()), int(ints.max())) > 2**53:
-            raise vectorized.VectorFallback("INT = DOUBLE join key beyond 2**53")
+def _typed_position(build, probes: list) -> bool:
+    """Whether numpy codes this key position as Python compares it: typed
+    arrays on every side, VARCHAR only against VARCHAR, and no INT against
+    DOUBLE past 2**53 (numpy compares the two in float64, Python exactly)."""
+    columns = [build, *probes]
+    if not all(isinstance(c, vectorized.VCol) for c in columns):
+        return False
+    if len({c.dictionary is None for c in columns}) > 1:
+        return False
+    for probe in probes:
+        if {build.values.dtype.kind, probe.values.dtype.kind} == {"i", "f"}:
+            ints = build.values if build.values.dtype.kind == "i" else probe.values
+            if len(ints) and max(-int(ints.min()), int(ints.max())) > 2**53:
+                return False
+    return True
 
 
-def _hash_slots(keys: list, n: int) -> np.ndarray:
-    """``hash(key_tuple) % n`` of every row — the tuple shuffle's placement —
-    hashed once per *distinct* key and spread through the inverse codes."""
-    codes = np.zeros(len(keys[0].values), dtype=np.int64)
+def _typed_domain(key):
+    """A typed key position's build values: word -> code, or sorted uniques."""
+    if key.dictionary is not None:
+        return {word: code for code, word in enumerate(dict.fromkeys(key.dictionary))}
+    return np.unique(key.values)
+
+
+def _no_match(value) -> bool:
+    """NULL, and NaN (``nan != nan``), equal nothing."""
+    return value is None or value != value
+
+
+def _key_tuples(keys: list, positions: list):
+    """Every row's Python key tuple over ``positions``."""
+    return zip(*(
+        key.to_pylist() if isinstance(key, vectorized.VCol) else key
+        for key in (keys[p] for p in positions)
+    ))
+
+
+def _tuple_domain(keys: list, positions: list) -> dict:
+    """Key tuple -> code over the build rows with no NULL or NaN part."""
+    if not positions:
+        return {}
+    matchable = (
+        key for key in _key_tuples(keys, positions) if not any(map(_no_match, key))
+    )
+    return {key: code for code, key in enumerate(dict.fromkeys(matchable))}
+
+
+def _hash_slots(keys: list, num_rows: int, n: int) -> np.ndarray:
+    """``hash(key_tuple) % n`` of every row — the placement of a shuffle of
+    Python key tuples, a NULL or NaN part placed as ``None`` (neither ever
+    matches, and ``hash(nan)`` depends on the object) — hashed once per
+    *distinct* key and spread through the inverse codes."""
+    codes = np.zeros(num_rows, dtype=np.int64)
     domains = []
     for key in keys:
-        if key.dictionary is not None:
-            values, part = list(key.dictionary), key.values
-        else:
-            uniques, part = np.unique(key.values, return_inverse=True)
-            values = uniques.tolist()
-        values.append(None)  # the NULL of this key position: its last code
+        values, part = _value_codes(key, num_rows)
         if len(values) * (int(codes.max(initial=0)) + 1) >= 2**62:
-            raise vectorized.VectorFallback("join key space exceeds int64")
-        codes = codes * len(values) + np.where(key.valid, part, len(values) - 1)
-        domains.append(values)
-    distinct, inverse = np.unique(codes, return_inverse=True)
-    parts = []
-    for values in reversed(domains):
-        distinct, digits = np.divmod(distinct, len(values))
-        parts.append([values[d] for d in digits.tolist()])
+            codes = np.unique(codes, return_inverse=True)[1]  # dense again
+        codes = codes * len(values) + part
+        domains.append((values, part))
+    _distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    parts = [[values[d] for d in part[first].tolist()] for values, part in domains]
     slots = np.fromiter(
-        (hash(key) % n for key in zip(*reversed(parts))), dtype=np.int64, count=len(distinct)
+        (hash(key) % n for key in zip(*parts)), dtype=np.int64, count=len(first)
     )
     return slots[inverse]
 
 
-def _scan_split(raw: bytes, plan: LogicalScan, split: FileSplit) -> ColumnBatch | list[tuple]:
+def _value_codes(key, num_rows: int) -> tuple[list, np.ndarray]:
+    """A key column as ``(values, part)``: its distinct Python values, then
+    ``None``, and each row's index into them — ``None``'s where the value is
+    NULL or NaN."""
+    if not isinstance(key, vectorized.VCol):
+        lookup: dict = {}
+        part = np.fromiter(
+            (-1 if _no_match(v) else lookup.setdefault(v, len(lookup)) for v in key),
+            dtype=np.int64,
+            count=num_rows,
+        )
+        values, unset = list(lookup), part < 0
+    elif key.dictionary is not None:
+        values, part, unset = list(key.dictionary), key.values, ~key.valid
+    else:
+        uniques, part = np.unique(key.values, return_inverse=True)
+        values, unset = uniques.tolist(), ~key.valid
+        if key.values.dtype.kind == "f":
+            unset |= np.isnan(key.values)
+    values.append(None)
+    return values, np.where(unset, len(values) - 1, part)
+
+
+def _scan_split(raw: bytes, plan: LogicalScan, split: FileSplit) -> ColumnBatch:
     """The scan's columns of one split's lines as a typed batch: cut on the
-    bytes where they allow it, else as text; only kept columns are decoded.
-    Row tuples instead when an INT exceeds int64 — only they can hold it."""
+    bytes where they allow it, else as text; only kept columns are decoded."""
     dtypes = [column.dtype for column in plan.schema]
     try:
-        try:
-            vectors = _cut_split(raw, plan, dtypes)
-            if vectors is None:
-                texts = _split_columns(raw, plan, split)
-                vectors = list(map(ColumnVector.from_texts, dtypes, texts))
-        except OverflowError:
+        vectors = _cut_split(raw, plan, dtypes)
+        if vectors is None:
             texts = _split_columns(raw, plan, split)
-            return list(zip(*map(DataType.parse_column, dtypes, texts)))
+            vectors = list(map(ColumnVector.from_texts, dtypes, texts))
     except UnicodeDecodeError as exc:
         raise ExecutionError(
             f"invalid UTF-8 in {plan.table.name}: {exc.reason} (the split of "

@@ -21,8 +21,9 @@ assumptions.  Callers fall back to the row-oriented path over
 it can never change results, only skip itself.  One deliberate deviation is
 documented: integer arithmetic runs in int64 (numpy) rather than Python's
 arbitrary precision, so values beyond 2**63 would wrap where the row path
-would not — the executor's strict ``from_rows`` conversion refuses such
-values long before a kernel sees them.
+would not — a column holding such a value is an ``object`` column of the
+Python values, whose column-reference kernel raises ``VectorFallback``, so
+no kernel ever computes on it.
 """
 
 from __future__ import annotations
@@ -150,6 +151,8 @@ def _compile_column_ref(expr: ColumnRef, schema: Schema) -> Kernel:
 
     def kernel(batch: ColumnBatch) -> VCol:
         vector = batch.columns[index]
+        if vector.is_object:
+            raise VectorFallback(f"column {expr.name!r} holds Python values")
         return VCol(vector.data, vector.valid, vector.dictionary)
 
     return kernel

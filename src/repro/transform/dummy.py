@@ -107,9 +107,9 @@ class DummyCodeUDF(TableUDF):
         recode_map: RecodeMap = self._transforms.get(handle)
         targets = {c.lower() for c in columns}
         for i, column in enumerate(input_schema):
-            if column.name.lower() in targets and batch.columns[i].dtype not in (
-                DataType.INT,
-                DataType.BIGINT,
+            vector = batch.columns[i]
+            if column.name.lower() in targets and (
+                vector.dtype not in (DataType.INT, DataType.BIGINT) or vector.is_object
             ):
                 return None  # not recoded integers: the row path raises properly
         out_vectors: list[ColumnVector] = []

@@ -14,6 +14,7 @@ never *what* arrives:
 """
 
 import contextlib
+import re
 import sqlite3
 
 import numpy as np
@@ -24,14 +25,16 @@ import repro.sql.executor as executor_module
 from repro import make_deployment
 from repro.cluster.cluster import make_paper_cluster
 from repro.columnar.batch import ColumnBatch, ColumnVector, batch_to_xy
+from repro.columnar.format import write_table
 from repro.hdfs.filesystem import DistributedFileSystem
 from repro.ml.dataset import ArrayDataset, LabeledPoint
+from repro.sql import vectorized
 from repro.sql.engine import BigSQL
 from repro.sql.executor import Executor, partition_rows
 from repro.sql.expressions import ColumnRef, Expr
 from repro.sql.table import Partition, Table
 from repro.sql.udf import TableUDF
-from repro.sql.types import DataType, Schema
+from repro.sql.types import DataType, Schema, estimate_row_bytes, estimate_rows_bytes
 from repro.transfer.buffers import (
     block_logical_bytes,
     decode_block,
@@ -66,25 +69,57 @@ _VALUES = {
 }
 
 
+# Values the typed storage cannot represent: the column holding one is an
+# ``object`` column of the Python values.  NaN is typed, but equals nothing.
+_ODD_VALUES = {
+    DataType.INT: st.one_of(
+        st.integers(min_value=2**63), st.integers(max_value=-(2**63) - 1), st.booleans()
+    ),
+    DataType.BIGINT: st.one_of(st.integers(min_value=2**63), st.booleans()),
+    DataType.DOUBLE: st.just(float("nan")),
+    DataType.BOOLEAN: st.integers(0, 1),
+    DataType.VARCHAR: st.integers(),
+}
+
+
 @st.composite
 def schema_and_rows(draw):
     dtypes = draw(st.lists(st.sampled_from(list(DataType)), min_size=1, max_size=5))
     schema = Schema.of(*((f"c{i}", dt) for i, dt in enumerate(dtypes)))
     num_rows = draw(st.integers(0, 30))
-    rows = [
-        tuple(draw(_VALUES[dt]) for dt in dtypes) for _ in range(num_rows)
+    values = [
+        st.one_of(_VALUES[dt], _ODD_VALUES[dt]) if draw(st.booleans()) else _VALUES[dt]
+        for dt in dtypes
     ]
+    rows = [tuple(draw(v) for v in values) for _ in range(num_rows)]
     return schema, rows
 
 
+def same_rows(got, expected) -> bool:
+    """Equal values of equal types: ``1``, ``1.0`` and ``True`` differ, and
+    ``nan`` is itself."""
+    return repr(got) == repr(expected)
+
+
 @settings(max_examples=200, deadline=None)
-@given(data=schema_and_rows())
-def test_batch_round_trip(data):
+@given(data=schema_and_rows(), cut=st.integers(0, 30), picks=st.data())
+def test_batch_round_trip(data, cut, picks):
     schema, rows = data
     batch = ColumnBatch.from_rows(schema, rows)
     assert batch.num_rows == len(rows)
-    assert batch.to_rows() == rows
-    assert batch.logical_bytes() >= 2 * len(rows)
+    assert same_rows(batch.to_rows(), rows)
+    assert batch.logical_bytes() == estimate_rows_bytes(rows)
+    # two parts, one may be typed where the other holds Python values
+    parts = [ColumnBatch.from_rows(schema, rows[:cut]), ColumnBatch.from_rows(schema, rows[cut:])]
+    whole = ColumnBatch.concat(schema, parts)
+    assert same_rows(whole.to_rows(), rows)
+    assert whole.logical_bytes() == estimate_rows_bytes(rows)
+    indices = picks.draw(st.lists(st.integers(0, len(rows) - 1), max_size=10)) if rows else []
+    taken = whole.take(np.array(indices, dtype=np.int64))
+    assert same_rows(taken.to_rows(), [rows[i] for i in indices])
+    mask = picks.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    kept = whole.filter(np.array(mask, dtype=np.bool_))
+    assert same_rows(kept.to_rows(), [row for row, keep in zip(rows, mask) if keep])
 
 
 @settings(max_examples=200, deadline=None)
@@ -94,12 +129,12 @@ def test_wire_frame_round_trip(data):
     batch = ColumnBatch.from_rows(schema, rows)
     payload = encode_col_block(batch)
     decoded = decode_col_block(payload)
-    assert decoded.to_rows() == rows
+    assert same_rows(decoded.to_rows(), rows)
     assert [c.dtype for c in decoded.columns] == [c.dtype for c in batch.columns]
     # the one decoder returns the batch as a batch, whichever encoder made it
-    assert decode_block(encode_block(batch)).to_rows() == rows
+    assert same_rows(decode_block(encode_block(batch)).to_rows(), rows)
     # and the logical-bytes header carries the seed's per-row byte formula
-    assert block_logical_bytes(payload) == batch.logical_bytes()
+    assert block_logical_bytes(payload) == batch.logical_bytes() == estimate_rows_bytes(rows)
 
 
 @settings(max_examples=100, deadline=None)
@@ -109,7 +144,7 @@ def test_slice_step_matches_round_robin(data, step):
     batch = ColumnBatch.from_rows(schema, rows)
     for j in range(step):
         expected = [row for i, row in enumerate(rows) if i % step == j]
-        assert batch.slice_step(j, step).to_rows() == expected
+        assert same_rows(batch.slice_step(j, step).to_rows(), expected)
 
 
 def test_empty_batch_round_trip():
@@ -126,14 +161,13 @@ def test_empty_batch_round_trip():
 @contextlib.contextmanager
 def tuple_operators():
     """Every deployment runs the vector kernels; this is the executor with
-    all of them refused — in-memory scans keep their rows, so every
-    operator runs its tuple fallback — the oracle the kernels answer to."""
-
-    def refuse(*args, **kwargs):
-        raise TypeError("vector kernels refused")
-
+    all of them declined — every ``vectorized.compile_*`` returns None, so
+    filters, projections and aggregates run the tuple evaluator and every
+    join key is Python values — the oracle the kernels answer to."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ColumnBatch, "from_rows", refuse)
+        for name in dir(vectorized):
+            if name.startswith("compile_"):
+                patch.setattr(vectorized, name, lambda *args, **kwargs: None)
         yield
 
 
@@ -194,7 +228,8 @@ JOIN_QUERIES = [
 
 
 def _join_partitions(a_rows, b_rows, sql, kernels):
-    """Per-slot output rows and the statement's ``sql.shuffle`` charge."""
+    """Per-slot output rows, the statement's ``sql.shuffle`` charge and the
+    slot count."""
     engine = BigSQL(make_paper_cluster())
     engine.create_table("a", A_SCHEMA, a_rows)
     engine.create_table("b", B_SCHEMA, b_rows)
@@ -202,8 +237,73 @@ def _join_partitions(a_rows, b_rows, sql, kernels):
     ledger = engine.cluster.ledger
     if kernels:
         assert ledger.get("columnar.fallback") == 0
-        assert all(isinstance(p, ColumnBatch) for p in relation.partitions)
-    return [list(partition_rows(p)) for p in relation.partitions], ledger.get("sql.shuffle")
+    assert all(isinstance(p, ColumnBatch) for p in relation.partitions)
+    parts = [list(partition_rows(p)) for p in relation.partitions]
+    return parts, ledger.get("sql.shuffle"), engine.num_workers
+
+
+def _reference_join(a_rows, b_rows, sql, n, threshold):
+    """A ``JOIN_QUERIES`` statement as a tuple join placed like the
+    executor's: the tables dealt round-robin to ``n`` slots; the smaller
+    table the left input of an inner join; the build side the smaller input
+    (the right one of a LEFT or a shuffle join); a broadcast
+    join probes each slot against the whole build side, a shuffle join first
+    moves every row to slot ``hash(key tuple) % n``, a NULL or NaN key part
+    as ``None``; per slot a nested loop, probe rows, then build rows."""
+    select, rest = sql.removeprefix("SELECT ").split(" FROM ")
+    conditions = [c.split() for c in rest.partition(" ON ")[2].split(" AND ") if c]
+    keys = {t: [c[0 if t == "a" else 2] for c in conditions if c[1] == "="] for t in "ab"}
+    rows = {
+        t: [dict(zip((f"{t}.{c}" for c in schema.names), row)) for row in table]
+        for t, schema, table in (("a", A_SCHEMA, a_rows), ("b", B_SCHEMA, b_rows))
+    }
+    read = set(re.findall(r"\b[ab]\.\w+", sql))  # the columns the scans keep
+
+    def key(t, row):
+        parts = (row[ref] for ref in keys[t])
+        return tuple(None if v is None or v != v else v for v in parts) or (0,)
+
+    def size(t, row):
+        return estimate_row_bytes(tuple(v for ref, v in row.items() if ref in read))
+
+    def matches(a, b):
+        return all(x is not None and x == y for x, y in zip(key("a", a), key("b", b))) and all(
+            a[left] > b[right] for left, op, right in conditions if op == ">"
+        )
+
+    nbytes = {t: sum(size(t, row) for row in rows[t]) for t in "ab"}
+    left_join = " LEFT JOIN " in rest
+    smaller = estimate_rows_bytes(b_rows) < estimate_rows_bytes(a_rows)
+    left, right = ("b", "a") if smaller and not left_join else ("a", "b")
+    build = left if not left_join and nbytes[left] <= nbytes[right] else right
+    slots = {t: [rows[t][w::n] for w in range(n)] for t in "ab"}
+    if nbytes[build] <= threshold:
+        shuffle = nbytes[build] * (n - 1)
+        builds = [[row for slot in slots[build] for row in slot]] * n
+    else:
+        build, shuffle = right, 0
+        for t in "ab":
+            placed = [[] for _ in range(n)]
+            for source, slot in enumerate(slots[t]):
+                for row in slot:
+                    target = hash(key(t, row)) % n
+                    shuffle += size(t, row) if target != source else 0
+                    placed[target].append(row)
+            slots[t] = placed
+        builds = slots[build]
+    probe = "b" if build == "a" else "a"
+    null_b = {f"b.{c}": None for c in B_SCHEMA.names}
+    parts = []
+    for probe_slot, build_slot in zip(slots[probe], builds):
+        part = []
+        for row in probe_slot:
+            pairs = [(row, other) if probe == "a" else (other, row) for other in build_slot]
+            found = [{**a, **b} for a, b in pairs if matches(a, b)]
+            if left_join and not found:
+                found = [{**row, **null_b}]
+            part += [tuple(joined[ref] for ref in select.split(", ")) for joined in found]
+        parts.append(part)
+    return parts, shuffle
 
 
 def _join_sqlite(a_rows, b_rows, sql):
@@ -226,36 +326,41 @@ def _join_sqlite(a_rows, b_rows, sql):
 @example(a_rows=_DISJOINT_A, b_rows=[])
 @example(a_rows=[], b_rows=_DISJOINT_B)
 def test_array_join_matches_tuple_join_and_sqlite(sql, threshold, a_rows, b_rows):
-    """The join kernel against both oracles, as a broadcast and as a
-    shuffle join: SQLite's rows as a multiset, and the tuple join's rows
-    slot by slot in its order, with its ``sql.shuffle`` charge."""
+    """The join against both oracles, as a broadcast and as a shuffle join,
+    with array keys and with every key as Python values (the vector kernels
+    declined): SQLite's rows as a multiset, and the reference tuple join's
+    rows slot by slot in its order, with its ``sql.shuffle`` charge."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(executor_module, "BROADCAST_THRESHOLD_BYTES", threshold)
-        array_parts, array_shuffle = _join_partitions(a_rows, b_rows, sql, kernels=True)
+        array_parts, array_shuffle, n = _join_partitions(a_rows, b_rows, sql, kernels=True)
         with tuple_operators():
-            tuple_parts, tuple_shuffle = _join_partitions(a_rows, b_rows, sql, kernels=False)
-    assert array_parts == tuple_parts
-    assert array_shuffle == tuple_shuffle
+            python_parts, python_shuffle, _n = _join_partitions(a_rows, b_rows, sql, kernels=False)
+    tuple_parts, tuple_shuffle = _reference_join(a_rows, b_rows, sql, n, threshold)
+    assert array_parts == python_parts == tuple_parts
+    assert array_shuffle == python_shuffle == tuple_shuffle
     flat = [row for part in array_parts for row in part]
     assert normalize(flat) == normalize(_join_sqlite(a_rows, b_rows, sql))
 
 
-def test_join_key_without_a_kernel_takes_the_tuple_join_with_one_tick():
-    """COALESCE has no vector kernel: the tuple join runs, charged once."""
+def test_join_key_without_a_kernel_is_keyed_by_python_values_with_one_tick(monkeypatch):
+    """COALESCE has no vector kernel: its key is the Python values of
+    ``bind_batch``, the other key an array, charged once; the output is
+    batches."""
     sql = "SELECT a.x, b.y FROM a JOIN b ON COALESCE(a.k, 0) = b.k"
     engine = BigSQL(make_paper_cluster())
     engine.create_table("a", A_SCHEMA, _DISJOINT_A + [(None, "n", 99)])
     engine.create_table("b", B_SCHEMA, _DISJOINT_B)
     relation = engine.execute_distributed(sql)
-    # the projection re-enters the plane; only the join fell back
+    # the projection stays in the plane; only the join's key fell back
     assert engine.cluster.ledger.get("columnar.fallback") == 1
+    assert all(isinstance(p, ColumnBatch) for p in relation.partitions)
     expected = _join_sqlite(_DISJOINT_A + [(None, "n", 99)], _DISJOINT_B, sql)
     assert normalize(relation.all_rows()) == normalize(expected)
 
 
-def test_int_double_keys_beyond_2_53_take_the_tuple_join():
+def test_int_double_keys_beyond_2_53_are_keyed_by_python_values():
     """numpy would compare 2**53 + 1 with 2.0**53 in float64 and call them
-    equal; Python, SQLite and the tuple join do not."""
+    equal; Python, SQLite and a tuple join do not."""
     big = 2**53
     sql = "SELECT a.x, b.y FROM a JOIN b ON a.k = b.f"
     a_rows, b_rows = [(big + 1, "a", 1), (big, "a", 2)], [(0, "b", 3, float(big))]
@@ -265,6 +370,39 @@ def test_int_double_keys_beyond_2_53_take_the_tuple_join():
     engine.create_table("b", B_SCHEMA, b_rows)
     assert engine.query_rows(sql) == _join_sqlite(a_rows, b_rows, sql) == [(2, 3)]
     assert engine.cluster.ledger.get("columnar.fallback") == 1
+
+
+@pytest.mark.parametrize("kernels", [True, False], ids=["arrays", "python-values"])
+def test_nan_join_keys_place_like_null_and_never_match(monkeypatch, kernels):
+    """``hash(nan)`` depends on the object, so a shuffle join that placed a
+    NaN key by its hash charged another ``sql.shuffle`` on every run; a NaN
+    key part is placed as NULL is, and neither ever matches."""
+    monkeypatch.setattr(executor_module, "BROADCAST_THRESHOLD_BYTES", -1)
+    a_keys = [float("nan") if i % 2 else float(i % 5) for i in range(80)]  # 40 NaN keys
+    b_keys = [float("nan") if i % 3 == 0 else float(i % 5) for i in range(30)]
+
+    def run():
+        engine = BigSQL(make_paper_cluster())
+        for name, keys in (("a", a_keys), ("b", b_keys)):
+            schema = Schema.of(("k", DataType.DOUBLE), (f"{name}v", DataType.INT))
+            engine.create_table(name, schema, [(k, i) for i, k in enumerate(keys)])
+        with contextlib.nullcontext() if kernels else tuple_operators():
+            rows = engine.query_rows("SELECT a.k, a.av, b.bv FROM a JOIN b ON a.k = b.k")
+        return sorted(rows), engine.cluster.ledger.get("sql.shuffle"), engine.num_workers
+
+    runs = [run() for _ in range(3)]
+    n = runs[0][2]
+    expected = sorted(
+        (ak, i, j) for i, ak in enumerate(a_keys) for j, bk in enumerate(b_keys) if ak == bk
+    )
+    # every scanned row is 18 bytes; slot of row i is i % n before the shuffle
+    charge = sum(
+        18
+        for keys in (a_keys, b_keys)
+        for i, k in enumerate(keys)
+        if hash((None if k != k else k,)) % n != i % n
+    )
+    assert [(rows, shuffle) for rows, shuffle, _n in runs] == [(expected, charge)] * 3
 
 
 def test_concat_of_no_batches_is_an_empty_batch():
@@ -299,14 +437,33 @@ def test_text_scan_types_columns_without_a_row_stage(monkeypatch):
     assert normalize(relation.all_rows()) == normalize(rows)
 
 
-def test_text_scan_falls_back_to_rows_with_one_tick():
-    """A value the typed storage refuses (an INT beyond int64) keeps the
-    worker's partition as rows, as ``from_rows`` refusing it did."""
+def _scanned(monkeypatch, engine, sql):
+    """The statement's rows, and the partitions of every scan it ran."""
+    scans = []
+    exec_scan = Executor._exec_scan
+
+    def spy(self, plan):
+        relation = exec_scan(self, plan)
+        scans.extend(relation.partitions)
+        return relation
+
+    monkeypatch.setattr(Executor, "_exec_scan", spy)
+    return engine.query_rows(sql), scans
+
+
+def test_scans_of_an_int_beyond_int64_yield_an_object_column(monkeypatch):
+    """A value the typed storage cannot hold (an INT beyond int64) makes its
+    column an ``object`` column of the Python values: the text and the RCOL
+    scan still yield batches, and the rows come back as Python ints."""
     schema = Schema.of(("a", DataType.INT), ("b", DataType.INT))
     engine = _text_engine(f"1,2\n{2**70},3\n", schema)
-    relation = engine.execute_distributed("SELECT * FROM t")
-    assert sorted(relation.all_rows()) == [(1, 2), (2**70, 3)]
-    assert engine.cluster.ledger.get("columnar.fallback") == 1
+    write_table(engine.dfs, "/r", schema, [[(1, 2)], [(2**70, 3)]])
+    engine.register_external_table("r", schema, "/r", format="columnar")
+    for table in ("t", "r"):
+        rows, scans = _scanned(monkeypatch, engine, f"SELECT * FROM {table}")
+        assert same_rows(sorted(rows), [(1, 2), (2**70, 3)])
+        assert scans and all(isinstance(p, ColumnBatch) for p in scans)
+        assert any(c.is_object for p in scans for c in p.columns)
 
 
 # ------------------------------------------------------- channel frame path
@@ -429,7 +586,8 @@ def test_columnar_pipeline_builds_no_row_tuple(monkeypatch, transport):
 def test_default_pipeline_runs_the_vector_kernels(monkeypatch, transport):
     """The default deployment runs the same SQL engine: scan -> filter ->
     join -> project -> transform UDFs build no row tuple, bind no tuple
-    evaluator over data but a bare column's and take no fallback; rows are
+    evaluator over data but a bare column's, key no join by Python values
+    and take no fallback; rows are
     built only for the stream sink, which has no batch kernel and sends ``R``
     frames — and every SQL-side ledger category equals the columnar
     deployment's."""
@@ -454,7 +612,7 @@ def test_default_pipeline_runs_the_vector_kernels(monkeypatch, transport):
     monkeypatch.setattr(ColumnBatch, "from_rows", forbidden)
     monkeypatch.setattr(ColumnVector, "from_texts", forbidden)
     monkeypatch.setattr(executor_module, "_split_columns", forbidden)
-    monkeypatch.setattr(Executor, "_tuple_join", forbidden)
+    monkeypatch.setattr(executor_module, "_key_tuples", forbidden)  # Python-value join keys
 
     def over_data(bind_batch):
         # Binding over no columns folds a table UDF's constant arguments at
@@ -569,17 +727,16 @@ def test_an_int_in_a_double_column_comes_back_as_a_float():
     ],
     ids=["beyond-int64", "int-in-varchar", "bool-in-int"],
 )
-def test_in_memory_values_without_typed_storage_keep_their_rows(rows):
-    """A value the typed storage refuses keeps its partition's own rows —
-    what a scan returned before it was typed — at one tick."""
+def test_in_memory_values_without_typed_storage_keep_their_rows(monkeypatch, rows):
+    """A value the typed storage cannot represent makes its column, in its
+    slot, an ``object`` column of the Python values: the scan still yields
+    batches, and the rows come back as stored, types included."""
     engine = BigSQL(make_paper_cluster())
     engine.create_table("m", MEMO_SCHEMA, rows)
-    got = engine.query_rows("SELECT * FROM m")
-    assert sorted(got, key=repr) == sorted(rows, key=repr)
-    assert [list(map(type, r)) for r in sorted(got, key=repr)] == [
-        list(map(type, r)) for r in sorted(rows, key=repr)
-    ]
-    assert engine.cluster.ledger.get("columnar.fallback") == 1
+    got, scans = _scanned(monkeypatch, engine, "SELECT * FROM m")
+    assert same_rows(sorted(got, key=repr), sorted(rows, key=repr))
+    assert all(isinstance(p, ColumnBatch) for p in scans)
+    assert sum(c.is_object for p in scans for c in p.columns) == 1
 
 
 def test_a_table_with_another_partition_count_is_dealt_out_to_every_slot():
@@ -589,8 +746,10 @@ def test_a_table_with_another_partition_count_is_dealt_out_to_every_slot():
     engine.catalog.add_table(Table("m", MEMO_SCHEMA, partitions=parts))
     relation = engine.execute_distributed("SELECT k, s FROM m")
     assert len(relation.partitions) == engine.num_workers != 3
+    assert all(isinstance(p, ColumnBatch) for p in relation.partitions)
     assert sorted(relation.all_rows()) == sorted(r[:2] for r in rows)
-    assert engine.cluster.ledger.get("columnar.fallback") == 1  # the slot with 2**70
+    # the projection of the slot with 2**70 runs the tuple evaluator
+    assert engine.cluster.ledger.get("columnar.fallback") == 1
 
 
 class _Echo(TableUDF):
