@@ -221,7 +221,8 @@ class CoordinatorHAGroup:
         With a session budget the bound is clamped to its remaining time and
         a cancel wakes the wait immediately (the post-wake ``check`` turns
         it into the typed error).  The 50 ms re-check cap is a safety net
-        for leadership changes that bypass this process's notifier.
+        for leadership changes that bypass this process's notifier, or that
+        land between a leader check and the wait.
         """
         bound = timeout if timeout is not None else self.timeout_s
         if budget is not None:
@@ -234,22 +235,24 @@ class CoordinatorHAGroup:
             else None
         )
         try:
-            with self._leader_change:
-                while True:
-                    leader = self.leader()
-                    if leader is not None:
-                        return leader
-                    if budget is not None:
-                        budget.check("leader wait")
-                    remaining = deadline - self.clock.now()
-                    if remaining <= 0:
-                        raise CoordinatorUnavailableError(
-                            "no coordinator holds the leader lease "
-                            f"(replicas: {[c.coordinator_id for c in self.coordinators]})"
-                        )
-                    self.clock.wait_on(
-                        self._leader_change, min(remaining, 0.05)
+            while True:
+                # Resolve the leader outside the condition: ZooKeeperLite
+                # runs the failover watch, which notifies this condition,
+                # under its own lock, so holding the condition across a
+                # ZooKeeper read would deadlock against a takeover.
+                leader = self.leader()
+                if leader is not None:
+                    return leader
+                if budget is not None:
+                    budget.check("leader wait")
+                remaining = deadline - self.clock.now()
+                if remaining <= 0:
+                    raise CoordinatorUnavailableError(
+                        "no coordinator holds the leader lease "
+                        f"(replicas: {[c.coordinator_id for c in self.coordinators]})"
                     )
+                with self._leader_change:
+                    self.clock.wait_on(self._leader_change, min(remaining, 0.05))
         finally:
             if dispose is not None:
                 dispose()

@@ -18,6 +18,7 @@ import json
 import os
 import pathlib
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -126,6 +127,23 @@ class TestLeaderElection:
         assert group.leader_id() is None
         with pytest.raises(CoordinatorUnavailableError, match="leader lease"):
             group.proxy.live_sessions()
+
+    def test_leader_wait_reads_zookeeper_outside_the_leader_change_condition(self):
+        # A takeover notifies the leader-change condition from inside the
+        # ZooKeeperLite lock (watches fire on the mutating call), so a
+        # leader wait holding that condition across a ZooKeeper read
+        # deadlocks against a concurrent failover.
+        group = make_group(standbys=1)
+        waiter = threading.Thread(target=group.await_leader, daemon=True)
+        with group.zk._lock:
+            waiter.start()
+            time.sleep(0.1)  # the waiter now blocks on the ZooKeeper lock
+            acquired = group._leader_change.acquire(timeout=2.0)
+            if acquired:
+                group._leader_change.release()
+        waiter.join(5.0)
+        assert acquired
+        assert not waiter.is_alive()
 
     def test_dead_replica_stops_serving(self):
         group = make_group(standbys=1)
