@@ -134,15 +134,17 @@ def make_deployment(
     expression, UDF or column without a kernel falls back per partition to
     the tuple evaluator (one ``columnar.fallback`` tick each; a join keyed
     through Python values, one per statement), never fails.  ``columnar=`` selects
-    only the wire and the ingest, by the stream sink the pipeline
-    registers.  With ``True`` it is
+    only the wire, by the stream sink the pipeline registers.  With
+    ``True`` it is
     :class:`~repro.transfer.stream_udf.ColumnarStreamTransferUDF`, which
-    frames each channel's slice of the batch as one ``C`` frame, and ML
-    ingestion builds (X, y) arrays directly from the received batches (an
-    :class:`~repro.ml.dataset.ArrayDataset`).  Off by default — the sink
-    sends the batch's rows as ``R`` frames, whose pickled bytes keep the
-    Figure 3/4 ledgers bit-identical to the seed; moving the default to
-    ``C`` frames waits on one byte basis for both frame kinds.
+    frames each channel's slice of the batch as one ``C`` frame.  Off by
+    default — the sink sends the batch's rows as ``R`` frames, whose
+    pickled bytes keep the Figure 3/4 ledgers bit-identical to the seed;
+    moving the default to ``C`` frames waits on one byte basis for both
+    frame kinds.  The ingest is the same either way: ML jobs build (X, y)
+    arrays through one kernel, ``batch_to_xy``, from a ``C`` frame's batch,
+    an ``R`` frame's block pivoted once, or a DFS text split cut by the SQL
+    scan's byte kernel (an :class:`~repro.ml.dataset.ArrayDataset`).
 
     ``fault_injector`` / ``recovery`` install the §6 fault-tolerance stack:
     a seeded :class:`~repro.faults.injector.FaultInjector` (chaos source)

@@ -150,11 +150,17 @@ class BrokerConsumer:
             self._group, self._topic, self._partition, self._position
         )
 
-    def __iter__(self):
-        """Drain to end-of-partition, committing after each batch."""
+    def blocks(self):
+        """Drain to end-of-partition a fetched batch of rows at a time,
+        committing after each batch."""
         while True:
             rows, at_end = self.poll()
-            yield from rows
+            if rows:
+                yield rows
             self.commit()
             if at_end:
                 return
+
+    def __iter__(self):
+        for rows in self.blocks():
+            yield from rows

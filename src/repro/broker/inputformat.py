@@ -34,11 +34,16 @@ class BrokerRecordReader(RecordReader):
         self._consumer = consumer
         self.bytes_read = 0
 
-    def __iter__(self):
+    def blocks(self):
+        """Each fetched batch of rows as one record."""
         before = self._consumer.bytes_received
-        for row in self._consumer:
+        for rows in self._consumer.blocks():
             self.bytes_read = self._consumer.bytes_received - before
-            yield row
+            yield rows
+
+    def __iter__(self):
+        for rows in self.blocks():
+            yield from rows
 
 
 class BrokerInputFormat(InputFormat):

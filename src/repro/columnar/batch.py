@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.common.errors import IngestError
 from repro.sql.types import DataType, Schema, estimate_value_bytes
 
 _NUMPY_DTYPE = {
@@ -430,43 +431,41 @@ class ColumnBatch:
 
 
 def batch_to_xy(
-    batch: ColumnBatch, label_index: int, label_offset: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """(features, labels) float64 arrays straight from a batch — the
-    columnar replacement for per-row ``labeled_point_from_fields``.
+    batch: ColumnBatch, label_index: int | None, label_offset: float = 0.0
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(features, labels) float64 arrays from a batch — the one ``(X, y)``
+    kernel of ML ingestion, fed by ``C`` frames, pivoted ``R`` frame blocks
+    and DFS text splits alike.
 
-    Every column is interpreted numerically (the transfer feeds the trainer
-    recoded/dummy-coded numerics); NULLs become ``nan`` like ``float(None)``
-    would have raised in the row path — callers upstream already guarantee
-    non-NULL ML inputs, so this only matters for malformed feeds.
+    The column at ``label_index`` (negative counts from the end), less
+    ``label_offset``, is the label; every other column is a feature, in
+    order.  ``label_index=None`` makes every column a feature and the labels
+    ``None``.  Each value converts as ``float()`` would: typed storage by one
+    casting assignment per column, a VARCHAR's dictionary words and an
+    ``object`` column's values one ``float()`` each.  A NULL raises
+    :class:`~repro.common.errors.IngestError` naming its column: a trainer
+    has no reading of a missing feature or label.
     """
-    n = batch.num_rows
-    label_index = label_index % len(batch.columns) if batch.columns else 0
-    feature_cols = []
-    label = None
-    for i, col in enumerate(batch.columns):
+    n, width = batch.num_rows, len(batch.columns)
+    if label_index is not None and not -width <= label_index < width:
+        raise IngestError(f"label index {label_index} is outside {width} columns")
+    label_at = None if label_index is None else label_index % width
+    X = np.empty((n, width - (label_at is not None)), dtype=np.float64)
+    y = None
+    features = iter(range(X.shape[1]))
+    for i, (column, col) in enumerate(zip(batch.schema, batch.columns)):
+        if not col.valid.all():
+            role = "label" if i == label_at else "feature"
+            raise IngestError(f"NULL {role} in column {column.name!r} (position {i})")
         if col.is_object:
-            values = np.array(col.to_pylist(), dtype=np.float64)
+            values = np.fromiter(map(float, col.data), dtype=np.float64, count=n)
         elif col.dtype is DataType.VARCHAR:
-            words = np.fromiter(
-                (float(w) for w in col.dictionary or []),
-                dtype=np.float64,
-                count=len(col.dictionary or []),
-            )
-            values = np.where(col.valid, words[np.clip(col.data, 0, None)]
-                              if len(words) else np.zeros(n), np.nan)
+            words = col.dictionary or []
+            values = np.fromiter(map(float, words), dtype=np.float64, count=len(words))[col.data]
         else:
-            values = col.data.astype(np.float64)
-            if not col.valid.all():
-                values = np.where(col.valid, values, np.nan)
-        if i == label_index:
-            label = values - float(label_offset)
+            values = col.data
+        if i == label_at:
+            y = values.astype(np.float64) - float(label_offset)
         else:
-            feature_cols.append(values)
-    X = (
-        np.column_stack(feature_cols)
-        if feature_cols
-        else np.empty((n, 0), dtype=np.float64)
-    )
-    y = label if label is not None else np.empty(n, dtype=np.float64)
+            X[:, next(features)] = values
     return X, y

@@ -4,6 +4,8 @@ import itertools
 import pickle
 import time
 
+import numpy as np
+
 from repro.broker.broker import MessageBroker
 from repro.broker.inputformat import BrokerInputFormat
 from repro.broker.transfer_udf import BrokerTransferUDF
@@ -22,12 +24,13 @@ from repro.integration.stages import DatasetLineage, PipelineResult, StageTiming
 from repro.iofmt.inputformat import JobConf
 from repro.iofmt.text import CsvInputFormat
 from repro.caching.cache import CacheManager
-from repro.ml.dataset import Dataset
+from repro.columnar.batch import ColumnBatch
+from repro.ml.dataset import ArrayDataset
 from repro.ml.system import MLJobResult, MLSystem
 from repro.rewriter.rewriter import QueryRewriter, RewritePlan
 from repro.sql.engine import BigSQL
-from repro.sql.executor import DistRelation, partition_rows
-from repro.sql.types import Schema
+from repro.sql.executor import DistRelation
+from repro.sql.types import DataType, Schema
 from repro.transfer.coordinator import Coordinator
 from repro.transfer.launcher import connect
 from repro.transfer.stream_udf import ColumnarStreamTransferUDF, StreamTransferUDF
@@ -685,30 +688,29 @@ class AnalyticsPipeline:
         relation = self.engine.execute_distributed(inner_sql)
         k = int(conf_props.get("stream.k", self.coordinator.default_k))
         conf = JobConf(dict(conf_props), coordinator=self.coordinator)
-        parser = MLSystem._parser_from_conf(conf, command)
-        partitions = self._rebuild_stream_partitions(relation.partitions, k, parser)
+        parser = MLSystem._batch_parser_from_conf(conf)
+        dataset = ArrayDataset(self._rebuild_stream_partitions(relation, k, parser))
         self.cluster.ledger.add(
             "ml.replay",
-            len(pickle.dumps(partitions, protocol=pickle.HIGHEST_PROTOCOL)),
+            len(pickle.dumps(dataset.partitions(), protocol=pickle.HIGHEST_PROTOCOL)),
         )
-        return self.ml_system.train_local(command, args, Dataset(partitions), conf)
+        return self.ml_system.train_local(command, args, dataset, conf)
 
     @staticmethod
-    def _rebuild_stream_partitions(
-        sql_partitions: list, group_size: int, parser
-    ) -> list[list]:
+    def _rebuild_stream_partitions(relation: DistRelation, group_size: int, parser) -> list:
         """The streamed Dataset layout, recomputed from SQL-side partitions.
 
         SQL worker w sends row i of its partition to its channel ``i % k``
         (:func:`repro.transfer.stream_udf.plan_blocks`), and the ML job gets
         one split per channel in global index order — so split ``w*k + j``
-        holds rows ``j::k`` of worker w's partition, in order.
+        holds rows ``j::k`` of worker w's partition, in order: one
+        ``(X, y)`` pair each, through the ingest's own ``parser``.
         """
-        partitions: list[list] = []
-        for part in map(partition_rows, sql_partitions):
-            for j in range(group_size):
-                rows = part[j::group_size]
-                partitions.append([parser(row) if parser else row for row in rows])
+        partitions = []
+        for part in relation.partitions:
+            if not isinstance(part, ColumnBatch):
+                part = ColumnBatch.from_rows(relation.schema, part)
+            partitions.extend(parser(part.slice_step(j, group_size)) for j in range(group_size))
         return partitions
 
     def _run_ml_from_dfs(
@@ -761,19 +763,17 @@ class AnalyticsPipeline:
         )
 
     def _write_result_csv(self, relation: DistRelation, out_dir: str) -> int:
-        """Materialize a distributed result as per-worker CSV part files."""
+        """Materialize a distributed result as per-worker CSV part files,
+        rendered a column at a time (:func:`render_csv`)."""
         self.dfs.mkdirs(out_dir)
-        dtypes = [c.dtype for c in relation.schema]
         total = 0
         worker_nodes = list(self.cluster.workers)
         for worker_id, partition in enumerate(relation.partitions):
-            rows = partition_rows(partition)
-            if not rows:
+            if not len(partition):
                 continue
-            lines = [
-                ",".join(dt.render(v) for dt, v in zip(dtypes, row)) for row in rows
-            ]
-            text = "\n".join(lines) + "\n"
+            if not isinstance(partition, ColumnBatch):
+                partition = ColumnBatch.from_rows(relation.schema, partition)
+            text = render_csv(partition)
             client_ip = worker_nodes[worker_id % len(worker_nodes)].ip
             self.dfs.write_text(
                 f"{out_dir}/part-{worker_id:05d}", text, client_ip=client_ip
@@ -832,3 +832,29 @@ class AnalyticsPipeline:
 
     def _delta(self, before: dict, category: str) -> int:
         return self.cluster.ledger.get(category) - before.get(category, 0)
+
+
+def render_csv(batch: ColumnBatch) -> str:
+    """The batch as CSV lines, byte for byte ``DataType.render`` of every
+    value, rendered a column at a time: DOUBLE by ``float.__repr__``, INT by
+    ``int.__repr__``, VARCHAR by gathering its dictionary words, BOOLEAN as
+    ``true``/``false``, NULL as ``""``; an ``object`` column renders each
+    Python value."""
+    columns = []
+    for column, vector in zip(batch.schema, batch.columns):
+        dtype = column.dtype
+        if vector.is_object:
+            texts = list(map(dtype.render, vector.to_pylist()))
+        elif dtype is DataType.VARCHAR:
+            words = np.array([*(vector.dictionary or []), ""], dtype=object)
+            texts = words[np.where(vector.valid, vector.data, -1)].tolist()
+        elif dtype is DataType.BOOLEAN:
+            words = np.array(["false", "true", ""], dtype=object)
+            texts = words[np.where(vector.valid, vector.data, 2)].tolist()
+        else:
+            render = float.__repr__ if dtype is DataType.DOUBLE else int.__repr__
+            texts = list(map(render, vector.data.tolist()))
+            for i in np.flatnonzero(~vector.valid).tolist():
+                texts[i] = ""
+        columns.append(texts)
+    return "\n".join(map(",".join, zip(*columns))) + "\n"

@@ -61,6 +61,14 @@ class RecordReader(ABC):
     def __iter__(self) -> Iterator[Any]:
         """Yield records until the split is exhausted."""
 
+    def blocks(self) -> Iterator[Any]:
+        """The split's records a block at a time, for a consumer that builds
+        arrays: a list of records or a ``ColumnBatch``.  Default: one list
+        of every record."""
+        records = list(self)
+        if records:
+            yield records
+
     def close(self) -> None:
         """Release resources (default: nothing to do)."""
 

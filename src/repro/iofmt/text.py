@@ -162,16 +162,37 @@ class TextInputFormat(InputFormat):
 
 
 class CsvRecordReader(RecordReader):
-    """Wraps a line reader, splitting each line on a delimiter."""
+    """Wraps a line reader: its records are the non-blank lines split on a
+    delimiter, its one block the split as an all-DOUBLE ``ColumnBatch``."""
 
-    def __init__(self, inner: RecordReader, delimiter: str):
+    def __init__(self, inner: LineRecordReader, delimiter: str, split: FileSplit):
         self._inner = inner
         self._delimiter = delimiter
+        self._split = split
 
     def __iter__(self):
         for line in self._inner:
             if line:
                 yield line.split(self._delimiter)
+
+    def blocks(self):
+        """The split cut by the SQL text scan's kernel
+        (:func:`~repro.columnar.text.read_columns`): every field a DOUBLE,
+        as many as the split's first record has.  A malformed record raises
+        ``RecordWidthError`` naming the split and the record."""
+        # imported here: the columnar and SQL packages import this module
+        from repro.columnar.batch import ColumnBatch
+        from repro.columnar.text import read_columns
+        from repro.sql.types import DataType, Schema
+
+        raw = b"\n".join(self._inner.chunks())
+        first = raw.lstrip(b"\n").split(b"\n", 1)[0]
+        if first:
+            width = first.count(self._delimiter.encode()) + 1
+            schema = Schema.of(*((f"c{i}", DataType.DOUBLE) for i in range(width)))
+            dtypes = [DataType.DOUBLE] * width
+            vectors = read_columns(raw, self._split, self._delimiter, width, range(width), dtypes)
+            yield ColumnBatch.from_columns(schema, vectors, len(vectors[0]))
 
     def close(self) -> None:
         self._inner.close()
@@ -185,4 +206,4 @@ class CsvInputFormat(TextInputFormat):
 
     def create_record_reader(self, split: InputSplit, conf: JobConf) -> RecordReader:
         inner = super().create_record_reader(split, conf)
-        return CsvRecordReader(inner, conf.get("csv.delimiter", ","))
+        return CsvRecordReader(inner, conf.get("csv.delimiter", ","), split)

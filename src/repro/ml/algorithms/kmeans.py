@@ -77,15 +77,7 @@ class KMeans:
                 if best is None or candidate.cost < best.cost:
                     best = candidate
             return best
-        parts = []
-        for partition in dataset.partitions():
-            if not partition:
-                continue
-            rows = [
-                r.features if hasattr(r, "features") else np.asarray(r, float)
-                for r in partition
-            ]
-            parts.append(np.stack(rows).astype(float))
+        parts = [X for X, _y in dataset.partition_arrays()]
         if not parts:
             raise MLError("cannot cluster an empty dataset")
         total = sum(len(p) for p in parts)

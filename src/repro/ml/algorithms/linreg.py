@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import MLError
+from repro.ml.algorithms.sgd import minibatch_sgd
 from repro.ml.dataset import Dataset
 
 
@@ -62,37 +63,12 @@ class LinearRegression:
         parts = dataset.partition_arrays()
         if not parts:
             raise MLError("cannot fit linear regression on an empty dataset")
-        dim = parts[0][0].shape[1]
-        w = np.zeros(dim)
-        b = 0.0
-        start_t = 1
-        if checkpoint is not None:
-            restored = checkpoint.restore("linreg_sgd")
-            if restored is not None:
-                w = np.array(restored["weights"], dtype=float)
-                b = float(restored["intercept"])
-                start_t = int(restored["iteration"]) + 1
-        for t in range(start_t, iterations + 1):
-            grad_w = np.zeros(dim)
-            grad_b = 0.0
-            count = 0
-            for X, y in parts:
-                errors = X @ w + b - y
-                grad_w += X.T @ errors
-                grad_b += float(errors.sum())
-                count += len(y)
-            step_t = step / np.sqrt(t)
-            w -= step_t * (grad_w / count + reg_param * w)
-            b -= step_t * (grad_b / count)
-            if checkpoint is not None:
-                checkpoint.iteration_done(
-                    t,
-                    lambda: {
-                        "algorithm": "linreg_sgd",
-                        "iteration": t,
-                        "weights": w.copy(),
-                        "intercept": b,
-                        "step": step / np.sqrt(t),
-                    },
-                )
+
+        def squared_loss_gradient(X, y, w, b):
+            errors = X @ w + b - y
+            return X.T @ errors, float(errors.sum())
+
+        w, b = minibatch_sgd(
+            "linreg_sgd", parts, squared_loss_gradient, iterations, step, reg_param, checkpoint
+        )
         return LinearRegressionModel(weights=w, intercept=b)

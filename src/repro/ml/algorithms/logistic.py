@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import MLError
+from repro.ml.algorithms.sgd import minibatch_sgd
 from repro.ml.dataset import Dataset
 
 
@@ -52,49 +53,13 @@ class LogisticRegressionWithSGD:
         parts = dataset.partition_arrays()
         if not parts:
             raise MLError("cannot train logistic regression on an empty dataset")
-        dim = parts[0][0].shape[1]
-        rng = np.random.default_rng(seed)
 
-        w = np.zeros(dim)
-        b = 0.0
-        start_t = 1
-        if checkpoint is not None:
-            restored = checkpoint.restore("logistic")
-            if restored is not None:
-                w = np.array(restored["weights"], dtype=float)
-                b = float(restored["intercept"])
-                rng.bit_generator.state = restored["rng_state"]
-                start_t = int(restored["iteration"]) + 1
-        for t in range(start_t, iterations + 1):
-            grad_w = np.zeros(dim)
-            grad_b = 0.0
-            batch_size = 0
-            for X, y in parts:
-                if minibatch_fraction < 1.0:
-                    mask = rng.random(len(y)) < minibatch_fraction
-                    Xb, yb = X[mask], y[mask]
-                else:
-                    Xb, yb = X, y
-                if len(yb) == 0:
-                    continue
-                errors = _sigmoid(Xb @ w + b) - yb
-                grad_w += Xb.T @ errors
-                grad_b += float(errors.sum())
-                batch_size += len(yb)
-            if batch_size:
-                step_t = step / np.sqrt(t)
-                w -= step_t * (grad_w / batch_size + reg_param * w)
-                b -= step_t * (grad_b / batch_size)
-            if checkpoint is not None:
-                checkpoint.iteration_done(
-                    t,
-                    lambda: {
-                        "algorithm": "logistic",
-                        "iteration": t,
-                        "weights": w.copy(),
-                        "intercept": b,
-                        "rng_state": rng.bit_generator.state,
-                        "step": step / np.sqrt(t),
-                    },
-                )
+        def log_loss_gradient(X, y, w, b):
+            errors = _sigmoid(X @ w + b) - y
+            return X.T @ errors, float(errors.sum())
+
+        w, b = minibatch_sgd(
+            "logistic", parts, log_loss_gradient, iterations, step, reg_param, checkpoint,
+            np.random.default_rng(seed), minibatch_fraction,
+        )
         return LogisticRegressionModel(weights=w, intercept=b)

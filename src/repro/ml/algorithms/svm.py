@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import MLError
+from repro.ml.algorithms.sgd import minibatch_sgd
 from repro.ml.dataset import Dataset
 
 
@@ -56,56 +57,19 @@ class SVMWithSGD:
         dims = {X.shape[1] for X, _y in parts}
         if len(dims) != 1:
             raise MLError(f"inconsistent feature dimensions across partitions: {dims}")
-        dim = dims.pop()
         total = sum(len(y) for _X, y in parts)
         signed = [(X, np.where(y > 0.5, 1.0, -1.0)) for X, y in parts]
-        rng = np.random.default_rng(seed)
 
-        w = np.zeros(dim)
-        b = 0.0
-        start_t = 1
-        if checkpoint is not None:
-            restored = checkpoint.restore("svm")
-            if restored is not None:
-                w = np.array(restored["weights"], dtype=float)
-                b = float(restored["intercept"])
-                rng.bit_generator.state = restored["rng_state"]
-                start_t = int(restored["iteration"]) + 1
-        for t in range(start_t, iterations + 1):
-            grad_w = np.zeros(dim)
-            grad_b = 0.0
-            batch_size = 0
-            for X, y in signed:
-                if minibatch_fraction < 1.0:
-                    mask = rng.random(len(y)) < minibatch_fraction
-                    Xb, yb = X[mask], y[mask]
-                else:
-                    Xb, yb = X, y
-                if len(yb) == 0:
-                    continue
-                margins = yb * (Xb @ w + b)
-                violated = margins < 1.0
-                if violated.any():
-                    grad_w += -(Xb[violated].T @ yb[violated])
-                    grad_b += -float(yb[violated].sum())
-                batch_size += len(yb)
-            if batch_size:
-                step_t = step / np.sqrt(t)
-                w -= step_t * (grad_w / batch_size + reg_param * w)
-                if fit_intercept:
-                    b -= step_t * (grad_b / batch_size)
-            if checkpoint is not None:
-                checkpoint.iteration_done(
-                    t,
-                    lambda: {
-                        "algorithm": "svm",
-                        "iteration": t,
-                        "weights": w.copy(),
-                        "intercept": b,
-                        "rng_state": rng.bit_generator.state,
-                        "step": step / np.sqrt(t),
-                    },
-                )
+        def hinge_gradient(X, y, w, b):
+            violated = y * (X @ w + b) < 1.0
+            if violated.any():
+                return -(X[violated].T @ y[violated]), -float(y[violated].sum())
+            return None
+
+        w, b = minibatch_sgd(
+            "svm", signed, hinge_gradient, iterations, step, reg_param, checkpoint,
+            np.random.default_rng(seed), minibatch_fraction, fit_intercept,
+        )
         if total == 0:
             raise MLError("cannot train SVM on an empty dataset")
         return SVMModel(weights=w, intercept=b)

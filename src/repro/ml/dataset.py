@@ -84,54 +84,42 @@ class Dataset:
                 return p[0]
         raise IndexError("dataset is empty")
 
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stack LabeledPoint records into (X, y) numpy arrays."""
-        points = self.collect()
-        if not points:
-            return np.empty((0, 0)), np.empty((0,))
-        X = np.stack([p.features for p in points]).astype(float)
-        y = np.array([p.label for p in points], dtype=float)
-        return X, y
+    def to_arrays(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Every partition's (X, y) stacked into one pair."""
+        return stack_pairs(self.partition_arrays())
 
-    def partition_arrays(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-partition (X, y) arrays — what iterative solvers work over,
-        mimicking MLlib's per-partition gradient aggregation."""
+    def partition_arrays(self) -> list[tuple[np.ndarray, np.ndarray | None]]:
+        """Per-partition (X, y) arrays — what the solvers work over,
+        mimicking MLlib's per-partition gradient aggregation.  Records are
+        LabeledPoints or bare feature vectors (then y is None)."""
         out = []
         for p in self._partitions:
             if not p:
                 continue
-            X = np.stack([lp.features for lp in p]).astype(float)
-            y = np.array([lp.label for lp in p], dtype=float)
-            out.append((X, y))
+            X = np.stack([getattr(r, "features", r) for r in p]).astype(float)
+            labeled = isinstance(p[0], LabeledPoint)
+            out.append((X, np.array([r.label for r in p], dtype=float) if labeled else None))
         return out
-
-
-def points_to_arrays(points: list) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a list of LabeledPoints into one (X, y) pair."""
-    if not points:
-        return np.empty((0, 0)), np.empty((0,))
-    X = np.stack([p.features for p in points]).astype(float)
-    y = np.array([p.label for p in points], dtype=float)
-    return X, y
 
 
 class ArrayDataset(Dataset):
     """A Dataset whose partitions are (X, y) feature/label arrays.
 
-    Columnar ingestion lands here: received ColumnBatches become float64
-    matrices directly and the iterative solvers read
-    :meth:`partition_arrays` with no per-row LabeledPoint objects ever
-    built.  Row-oriented accessors (``collect``, ``map``, ``first``, ...)
-    still work — LabeledPoints are synthesized lazily, once, only when
+    ML ingestion lands here: every received block becomes float64 arrays
+    through ``batch_to_xy`` and the solvers read :meth:`partition_arrays`
+    with no per-row object ever built.  ``y`` is None for unlabeled
+    (``vector_csv``) input.  Row-oriented accessors (``collect``, ``map``,
+    ``first``, ...) still work — the records (LabeledPoints, or feature
+    vectors when unlabeled) are synthesized lazily, once, only when
     something actually asks for rows.
     """
 
-    def __init__(self, arrays: list[tuple[np.ndarray, np.ndarray]]):
+    def __init__(self, arrays: list[tuple[np.ndarray, np.ndarray | None]]):
         self._arrays = [
-            (np.asarray(X, dtype=float), np.asarray(y, dtype=float))
+            (np.asarray(X, dtype=float), None if y is None else np.asarray(y, dtype=float))
             for X, y in arrays
         ]
-        self._rows: list[list] | None = None  # lazy LabeledPoint partitions
+        self._rows: list[list] | None = None  # lazy record partitions
 
     # Base-class methods read ``self._partitions``; materialize it on first
     # row-level access so the fast paths below never pay for it.
@@ -139,11 +127,7 @@ class ArrayDataset(Dataset):
     def _partitions(self) -> list[list]:
         if self._rows is None:
             self._rows = [
-                [
-                    LabeledPoint(float(label), np.asarray(features, dtype=float))
-                    for label, features in zip(y, X)
-                ]
-                for X, y in self._arrays
+                [_record(X, y, i) for i in range(len(X))] for X, y in self._arrays
             ]
         return self._rows
 
@@ -152,44 +136,35 @@ class ArrayDataset(Dataset):
         return len(self._arrays)
 
     def count(self) -> int:
-        return sum(len(y) for _, y in self._arrays)
+        return sum(len(X) for X, _ in self._arrays)
 
     def first(self):
         for X, y in self._arrays:
-            if len(y):
-                return LabeledPoint(float(y[0]), np.asarray(X[0], dtype=float))
+            if len(X):
+                return _record(X, y, 0)
         raise IndexError("dataset is empty")
 
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        pairs = [(X, y) for X, y in self._arrays if len(y)]
-        if not pairs:
-            return np.empty((0, 0)), np.empty((0,))
-        if len(pairs) == 1:
-            return pairs[0]
-        return (
-            np.concatenate([X for X, _ in pairs]),
-            np.concatenate([y for _, y in pairs]),
-        )
-
-    def partition_arrays(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(X, y) for X, y in self._arrays if len(y)]
+    def partition_arrays(self) -> list[tuple[np.ndarray, np.ndarray | None]]:
+        return [(X, y) for X, y in self._arrays if len(X)]
 
 
-def labeled_point_from_fields(
-    fields: list, label_index: int = -1
-) -> LabeledPoint:
-    """Build a LabeledPoint from a row of numeric values (tuple or strings).
-
-    ``label_index`` selects the label column (default: last); all remaining
-    columns become features in order.  String fields are parsed as floats —
-    which is exactly why the paper pushes recoding into the SQL side: by the
-    time rows reach the ML system every field must already be numeric.
-    """
-    values = [float(v) for v in fields]
-    if label_index < 0:
-        label_index += len(values)
-    label = values[label_index]
-    features = np.array(
-        values[:label_index] + values[label_index + 1 :], dtype=float
+def stack_pairs(pairs: list[tuple]) -> tuple[np.ndarray, np.ndarray | None]:
+    """Concatenate (X, y) pairs, empty ones skipped, into one pair."""
+    pairs = [(X, y) for X, y in pairs if len(X)]
+    if not pairs:
+        return np.empty((0, 0)), np.empty((0,))
+    if len(pairs) == 1:
+        return pairs[0]
+    ys = [y for _, y in pairs]
+    return (
+        np.concatenate([X for X, _ in pairs]),
+        None if ys[0] is None else np.concatenate(ys),
     )
-    return LabeledPoint(label, features)
+
+
+def _record(X: np.ndarray, y: np.ndarray | None, i: int):
+    """Row ``i`` as the record the row path builds: a LabeledPoint, or the
+    bare feature vector when unlabeled."""
+    if y is None:
+        return X[i]
+    return LabeledPoint(float(y[i]), X[i])

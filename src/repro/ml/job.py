@@ -5,10 +5,8 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cluster.cluster import Cluster
-from repro.columnar.batch import ColumnBatch
+from repro.columnar.batch import ColumnBatch, ColumnVector
 from repro.common.errors import (
     DeadlineExceeded,
     IngestError,
@@ -17,8 +15,9 @@ from repro.common.errors import (
     WorkerFailedError,
 )
 from repro.iofmt.inputformat import InputFormat, JobConf
-from repro.ml.dataset import ArrayDataset, Dataset, points_to_arrays
+from repro.ml.dataset import ArrayDataset, Dataset, stack_pairs
 from repro.sim.clock import WALL
+from repro.sql.types import DataType, Schema
 
 
 @dataclass
@@ -47,10 +46,11 @@ class MLJob:
     input_format: InputFormat
     conf: JobConf
     num_workers: int
+    #: the row path: each record -> a training record (``None``: as read)
     record_parser: Callable | None = None
-    #: columnar kernel: ColumnBatch -> (X, y).  When set, batches received
-    #: from a columnar stream become float64 arrays directly and ingest()
-    #: returns an ArrayDataset — no per-row LabeledPoint construction.
+    #: the array path, which wins when set: ColumnBatch -> (X, y).  Every
+    #: block a reader yields becomes float64 arrays and ingest() returns an
+    #: ArrayDataset — no per-row object is built.
     batch_parser: Callable | None = None
 
     def ingest(self) -> tuple[Dataset, IngestStats]:
@@ -58,7 +58,8 @@ class MLJob:
         started = time.perf_counter()
         splits = self.input_format.get_splits(self.conf, self.num_workers)
         if not splits:
-            return Dataset([[]]), IngestStats(wall_seconds=0.0)
+            empty = stack_pairs([]) if self.batch_parser is not None else []
+            return self._dataset([empty]), IngestStats()
         stats = IngestStats(num_splits=len(splits))
         known_ips = {n.ip for n in self.cluster.nodes}
         parser = self.record_parser
@@ -84,7 +85,7 @@ class MLJob:
             or WALL
         )
 
-        def consume(split_id: int, split) -> tuple[list, list, int, bool]:
+        def consume(split_id: int, split) -> tuple[list | tuple, int, bool]:
             with clock.managed(f"ingest-split-{session_key}-{split_id}",
                                expected=True):
                 if budget is not None:
@@ -94,35 +95,28 @@ class MLJob:
                         return _consume(split)
                 return _consume(split)
 
-        def _consume(split) -> tuple[list, list, int, bool]:
+        def _consume(split) -> tuple[list | tuple, int, bool]:
             locations = split.locations()
             is_local = any(ip in known_ips for ip in locations)
             node_ip = next((ip for ip in locations if ip in known_ips), None)
             conf = JobConf(dict(self.conf.props), **self.conf.objects)
             if node_ip is not None:
                 conf.set("client.ip", node_ip)
-            records: list = []
-            arrays: list = []  # (X, y) pairs from columnar frames
             with self.input_format.create_record_reader(split, conf) as reader:
-                for record in reader:
-                    if isinstance(record, ColumnBatch):
-                        # A columnar frame that survived the wire intact:
-                        # straight to arrays when a batch kernel exists,
-                        # else pivot once and parse like any other rows.
-                        if batch_parser is not None:
-                            arrays.append(batch_parser(record))
-                        elif parser is not None:
-                            records.extend(parser(r) for r in record.to_rows())
-                        else:
-                            records.extend(record.to_rows())
-                    else:
-                        records.append(parser(record) if parser else record)
+                if batch_parser is not None:
+                    part = stack_pairs([
+                        batch_parser(block if isinstance(block, ColumnBatch) else _pivot(block))
+                        for block in reader.blocks()
+                        if len(block)
+                    ])
+                else:
+                    part = [parser(r) for r in reader] if parser else list(reader)
                 # Streaming readers count actual received bytes; file readers
                 # fall back to the split's nominal length.
                 nbytes = getattr(reader, "bytes_read", None)
             if nbytes is None:
                 nbytes = split.length()
-            return records, arrays, nbytes, is_local
+            return part, nbytes, is_local
 
         # Typed per-split error handling: every split's outcome is collected
         # so a failure names exactly which split ids died (and, for worker
@@ -163,41 +157,27 @@ class MLJob:
                 failed_split_ids=failed_ids,
             ) from first
 
-        columnar = any(arrays for _, arrays, _, _ in results)
-        partitions: list[list] = []
-        array_parts: list[tuple] = []
-        for records, arrays, nbytes, is_local in results:
-            if columnar:
-                # Splits that saw only row frames (or none) still join the
-                # ArrayDataset: their parsed LabeledPoints stack into one
-                # (X, y) pair so the partition layout stays one-per-split.
-                pairs = list(arrays)
-                if records:
-                    pairs.append(points_to_arrays(records))
-                array_parts.append(_merge_pairs(pairs))
-                stats.records += len(array_parts[-1][1])
-            else:
-                partitions.append(records)
-                stats.records += len(records)
+        for _part, nbytes, is_local in results:
             stats.bytes += nbytes
-            if is_local:
-                stats.local_splits += 1
+            stats.local_splits += is_local
         self.cluster.ledger.add("ml.ingest", stats.bytes)
+        dataset = self._dataset([part for part, _, _ in results])
+        stats.records = dataset.count()
         stats.wall_seconds = time.perf_counter() - started
-        if columnar:
-            return ArrayDataset(array_parts), stats
-        return Dataset(partitions), stats
+        return dataset, stats
+
+    def _dataset(self, parts: list) -> Dataset:
+        """One partition per split: (X, y) pairs on the array path."""
+        return ArrayDataset(parts) if self.batch_parser is not None else Dataset(parts)
 
 
-def _merge_pairs(pairs: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate one split's (X, y) pairs into a single partition pair."""
-    pairs = [(X, y) for X, y in pairs if len(y)]
-    if not pairs:
-        return np.empty((0, 0)), np.empty((0,))
-    if len(pairs) == 1:
-        X, y = pairs[0]
-        return np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-    return (
-        np.concatenate([np.asarray(X, dtype=float) for X, _ in pairs]),
-        np.concatenate([np.asarray(y, dtype=float) for _, y in pairs]),
-    )
+def _pivot(rows: list) -> ColumnBatch:
+    """One received block of row tuples as DOUBLE columns, pivoted once.  A
+    value that is not an int or float (a bool, a numeric string) leaves its
+    column an ``object`` one, which ``batch_to_xy`` reads with ``float()``."""
+    widths = set(map(len, rows))
+    if len(widths) != 1:
+        raise IngestError(f"a received block mixes rows of {sorted(widths)} fields")
+    columns = [ColumnVector.from_values(DataType.DOUBLE, list(v)) for v in zip(*rows)]
+    schema = Schema.of(*((f"c{i}", DataType.DOUBLE) for i in range(len(columns))))
+    return ColumnBatch.from_columns(schema, columns, len(rows))

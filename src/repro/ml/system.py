@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.cluster.cluster import Cluster
+from repro.columnar.batch import batch_to_xy
 from repro.common.errors import MLError
 from repro.iofmt.inputformat import InputFormat, JobConf
 from repro.ml.algorithms import (
@@ -30,7 +31,7 @@ from repro.ml.algorithms import (
     NaiveBayes,
     SVMWithSGD,
 )
-from repro.ml.dataset import Dataset, labeled_point_from_fields
+from repro.ml.dataset import Dataset
 from repro.ml.job import IngestStats, MLJob
 
 
@@ -161,17 +162,15 @@ class MLSystem:
         """Ingest through ``input_format`` and train ``command`` on the RDD."""
         trainer = self.trainer(command)
         args = dict(args or {})
-        batch_parser = None
-        if record_parser is None:
-            record_parser = self._parser_from_conf(conf, command)
-            batch_parser = self._batch_parser_from_conf(conf)
         job = MLJob(
             cluster=self.cluster,
             input_format=input_format,
             conf=conf,
             num_workers=num_workers or self.default_parallelism,
             record_parser=record_parser,
-            batch_parser=batch_parser,
+            batch_parser=(
+                None if record_parser is not None else self._batch_parser_from_conf(conf)
+            ),
         )
         dataset, stats = job.ingest()
         return self._train(trainer, command, args, dataset, stats, conf)
@@ -277,47 +276,21 @@ class MLSystem:
         return getattr(coordinator, "recovery", None)
 
     @staticmethod
-    def _parser_from_conf(conf: JobConf, command: str) -> Callable | None:
-        """Default record parsing: labeled points for supervised commands.
-
-        ``record.format`` property: ``labeled_csv`` (list/tuple of fields,
-        label at ``label.index``, default last), ``vector_csv`` (all fields
-        are features), or ``raw`` (no parsing).
-        """
+    def _batch_parser_from_conf(conf: JobConf) -> Callable | None:
+        """The ingest's ColumnBatch -> (X, y) kernel for the job's
+        ``record.format`` property: ``labeled_csv`` (the label at
+        ``label.index``, default last, less ``label.offset``), ``vector_csv``
+        (every field a feature), or ``raw`` (None: records as read)."""
         record_format = conf.get("record.format", "labeled_csv")
         if record_format == "raw":
             return None
-        label_index = int(conf.get("label.index", -1))
-        # Recoded categorical labels arrive as 1..K; binary trainers want
-        # 0/1, so pipelines set label.offset=1 for recoded labels.
-        label_offset = float(conf.get("label.offset", 0.0))
         if record_format == "labeled_csv":
-            if label_offset == 0.0:
-                return lambda fields: labeled_point_from_fields(fields, label_index)
-
-            def parse_with_offset(fields):
-                point = labeled_point_from_fields(fields, label_index)
-                from repro.ml.dataset import LabeledPoint
-
-                return LabeledPoint(point.label - label_offset, point.features)
-
-            return parse_with_offset
-        if record_format == "vector_csv":
-            import numpy as np
-
-            return lambda fields: np.array([float(v) for v in fields], dtype=float)
-        raise MLError(f"unknown record.format {record_format!r}")
-
-    @staticmethod
-    def _batch_parser_from_conf(conf: JobConf) -> Callable | None:
-        """The columnar twin of :meth:`_parser_from_conf`: a ColumnBatch ->
-        (X, y) kernel for ``labeled_csv`` jobs.  Row-frame streams never see
-        it; a columnar stream's batches go straight to float64 arrays with
-        the same label selection and offset as the per-row parser."""
-        if conf.get("record.format", "labeled_csv") != "labeled_csv":
-            return None
-        label_index = int(conf.get("label.index", -1))
-        label_offset = float(conf.get("label.offset", 0.0))
-        from repro.columnar.batch import batch_to_xy
-
+            label_index = int(conf.get("label.index", -1))
+            # Recoded categorical labels arrive as 1..K; binary trainers want
+            # 0/1, so pipelines set label.offset=1 for recoded labels.
+            label_offset = float(conf.get("label.offset", 0.0))
+        elif record_format == "vector_csv":
+            label_index, label_offset = None, 0.0
+        else:
+            raise MLError(f"unknown record.format {record_format!r}")
         return lambda batch: batch_to_xy(batch, label_index, label_offset)

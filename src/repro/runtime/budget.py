@@ -251,11 +251,16 @@ class Budget:
         injected clock pair — remaining time from the monotonic reading,
         the journaled instant from its paired wall reading — so a
         virtual-time takeover adopts the correct remainder instead of
-        mixing virtual-monotonic arithmetic with real epoch time."""
+        mixing virtual-monotonic arithmetic with real epoch time.  The
+        instant is journaled as 20 zero-padded digits of integer
+        microseconds, so the journal's byte length does not depend on the
+        reading (a float's ``repr`` does)."""
+        if self.deadline_s is None:
+            return {"deadline_s": None, "deadline_unix_us": None}
+        deadline_unix = self._wall() + (self._deadline - self._clock())
         return {
             "deadline_s": self.deadline_s,
-            "deadline_unix": None if self.deadline_s is None else self._wall()
-            + (self._deadline - self._clock()),
+            "deadline_unix_us": f"{round(deadline_unix * 1e6):020d}",
         }
 
     @classmethod
@@ -278,11 +283,11 @@ class Budget:
         if settings.get("deadline_s") is None:
             return None
         _, wall = clock_pair(clock)
-        deadline_unix = settings.get("deadline_unix")
-        if deadline_unix is None:
+        deadline_unix_us = settings.get("deadline_unix_us")
+        if deadline_unix_us is None:
             remaining = float(settings["deadline_s"])
         else:
-            remaining = max(0.001, float(deadline_unix) - wall())
+            remaining = max(0.001, int(deadline_unix_us) / 1e6 - wall())
         budget = cls(
             deadline_s=remaining,
             session_id=session_id,

@@ -96,6 +96,7 @@ class BigSQL:
             raise CatalogError(f"cannot insert into external table {name!r}")
         for i, row in enumerate(_stored(table.schema, rows)):
             table.partitions[i % len(table.partitions)].rows.append(row)
+        table.rows_changed()
         self.catalog.bump_version(name)
 
     # ----------------------------------------------------------------- UDFs

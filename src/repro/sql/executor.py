@@ -12,7 +12,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
 from operator import itemgetter
 from typing import Any
 
@@ -21,6 +20,7 @@ import numpy as np
 from repro.cluster.cost import CostLedger
 from repro.cluster.node import Node
 from repro.columnar.batch import ColumnBatch, ColumnVector
+from repro.columnar.text import RecordWidthError, read_columns
 from repro.common.errors import ExecutionError
 from repro.iofmt.inputformat import JobConf
 from repro.iofmt.text import FileSplit, TextInputFormat
@@ -862,92 +862,22 @@ def _value_codes(key, num_rows: int) -> tuple[list, np.ndarray]:
 
 
 def _scan_split(raw: bytes, plan: LogicalScan, split: FileSplit) -> ColumnBatch:
-    """The scan's columns of one split's lines as a typed batch: cut on the
-    bytes where they allow it, else as text; only kept columns are decoded."""
-    dtypes = [column.dtype for column in plan.schema]
+    """The scan's columns of one split's lines as a typed batch
+    (:func:`~repro.columnar.text.read_columns`); only kept columns are decoded."""
+    table = plan.table
     try:
-        vectors = _cut_split(raw, plan, dtypes)
-        if vectors is None:
-            texts = _split_columns(raw, plan, split)
-            vectors = list(map(ColumnVector.from_texts, dtypes, texts))
+        vectors = read_columns(
+            raw, split, table.external.delimiter, len(table.schema), plan.columns,
+            [column.dtype for column in plan.schema],
+        )
+    except RecordWidthError as exc:
+        raise ExecutionError(f"bad record in {table.name}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ExecutionError(
-            f"invalid UTF-8 in {plan.table.name}: {exc.reason} (the split of "
+            f"invalid UTF-8 in {table.name}: {exc.reason} (the split of "
             f"{split.path} starting at byte {split.start})"
         ) from exc
     return ColumnBatch.from_columns(plan.schema, vectors, len(vectors[0]))
-
-
-def _cut_split(raw: bytes, plan: LogicalScan, dtypes: list) -> list[ColumnVector] | None:
-    """The byte-domain cut.  One pass finds every delimiter and newline; laid
-    out ``(lines, width)`` the positions are each field's end, and that they
-    *can* be laid out so, newlines in the last column, is the full-width
-    record check.  Kept columns are typed from their bytes
-    (``ColumnVector.from_fields``); one it declines is decoded alone and read
-    by ``from_texts``.  ``None`` — ``_split_columns`` reads the split — for a
-    multi-character delimiter, no lines, blank lines or a malformed record."""
-    delimiter, width = plan.table.external.delimiter.encode(), len(plan.table.schema)
-    if len(delimiter) != 1 or not 0 < len(raw) < 2**31 - 1:
-        return None
-    buf = np.frombuffer(raw + b"\n", dtype=np.uint8)
-    newlines = buf == 10
-    ends = np.flatnonzero(newlines | (buf == delimiter[0])).astype(np.int32)
-    if len(ends) % width:
-        return None
-    starts = np.empty_like(ends)  # a field starts after the previous one's end
-    starts[0], starts[1:] = 0, ends[:-1] + 1
-    starts, ends = starts.reshape(-1, width), ends.reshape(-1, width)
-    if (
-        np.count_nonzero(newlines) != len(ends)
-        or not newlines[ends[:, -1]].all()
-        or (starts[:, 0] == ends[:, -1]).any()  # a blank line of a 1-column table
-    ):
-        return None
-    vectors = []
-    for index, dtype in zip(plan.columns, dtypes):
-        at, lens = starts[:, index], ends[:, index] - starts[:, index]
-        vector = ColumnVector.from_fields(dtype, buf, at, lens)
-        if vector is None:
-            # the column's fields, each with the separator after it, as lines
-            spans = lens + 1
-            stops = np.cumsum(spans)
-            column = buf[np.repeat(at - (stops - spans), spans) + np.arange(stops[-1])]
-            column[stops - 1] = 10
-            texts = column[:-1].tobytes().decode("utf-8").split("\n")
-            vector = ColumnVector.from_texts(dtype, texts)
-        vectors.append(vector)
-    return vectors
-
-
-def _split_columns(raw: bytes, plan: LogicalScan, split: FileSplit) -> list[list[str]]:
-    """The scan's columns of one split's lines as text — the general cut.
-    Blank lines are dropped and every line's delimiter count is checked
-    against the table's full width (so a malformed record fails the scan even
-    in a pruned column); then the split is cut into fields in one flat pass —
-    delimiters become newlines, which no line contains, so a multi-character
-    delimiter cannot match across two lines — and column *i* is every
-    ``width``-th field from *i*.  All of it on bytes (UTF-8 never matches
-    inside a character): only the kept columns are decoded."""
-    delimiter, width = plan.table.external.delimiter.encode(), len(plan.table.schema)
-    lines = raw.split(b"\n")
-    if b"" in lines:
-        lines = list(filter(None, lines))
-        raw = b"\n".join(lines)
-    if set(map(bytes.count, lines, repeat(delimiter))) - {width - 1}:
-        index, got = next(
-            (i, line.count(delimiter) + 1)
-            for i, line in enumerate(lines, 1)
-            if line.count(delimiter) != width - 1
-        )
-        raise ExecutionError(
-            f"bad record in {plan.table.name}: expected {width} fields, "
-            f"got {got} (record {index} of the split of {split.path} "
-            f"starting at byte {split.start})"
-        )
-    if not lines:
-        return [[] for _ in plan.columns]
-    fields = raw.replace(delimiter, b"\n").split(b"\n")
-    return [b"\n".join(fields[i::width]).decode("utf-8").split("\n") for i in plan.columns]
 
 
 def _project_rows(rows: list[tuple], columns, width: int) -> list[tuple]:

@@ -55,6 +55,7 @@ class Table:
         self.schema = schema
         self.partitions = partitions
         self.external = external
+        self._estimated_bytes: int | None = None
 
     @property
     def is_external(self) -> bool:
@@ -76,10 +77,17 @@ class Table:
         return rows
 
     def estimated_bytes(self) -> int:
-        """Approximate size (in-memory tables only)."""
+        """Approximate size (in-memory tables only), computed once per
+        contents: :meth:`rows_changed` forgets it."""
         if self.partitions is None:
             raise CatalogError(f"size of external table {self.name!r} unknown")
-        return sum(p.estimated_bytes() for p in self.partitions)
+        if self._estimated_bytes is None:
+            self._estimated_bytes = sum(p.estimated_bytes() for p in self.partitions)
+        return self._estimated_bytes
+
+    def rows_changed(self) -> None:
+        """Forget what was computed from the rows (after an insert)."""
+        self._estimated_bytes = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         kind = f"external:{self.external.path}" if self.external else (

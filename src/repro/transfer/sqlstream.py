@@ -36,9 +36,8 @@ class StreamSplit(InputSplit):
 class StreamRecordReader(RecordReader):
     """Drains one channel until EOF; exposes ``bytes_read`` for accounting.
 
-    Records arrive in the representation the sender framed: a row frame
-    yields its rows one by one, a columnar frame is yielded *intact* as one
-    ColumnBatch record — the ingestion side decides what to do with it.
+    :meth:`blocks` yields each frame in the representation the sender
+    framed it (a row list or a ColumnBatch); iterating yields rows.
     """
 
     def __init__(
@@ -55,18 +54,9 @@ class StreamRecordReader(RecordReader):
         self.bytes_read = 0
         self.rows_read = 0
 
-    @property
-    def duplicate_blocks(self) -> int:
-        """§6 replayed blocks this reader's channel dropped by sequence
-        number (each logical row still crossed the boundary exactly once)."""
-        return self._channel.duplicate_blocks
-
-    @property
-    def duplicate_bytes(self) -> int:
-        """Logical bytes of the dropped replay blocks."""
-        return self._channel.duplicate_bytes
-
-    def __iter__(self):
+    def blocks(self):
+        """Each received block as one record: a row frame's list of rows or
+        a columnar frame's ColumnBatch, intact."""
         # Drain whole frames: one receive (one lock acquisition / frame
         # decode) per block, regardless of how many rows it carries.
         while True:
@@ -82,10 +72,11 @@ class StreamRecordReader(RecordReader):
                     self.rows_read,
                     scope=self._session_id,
                 )
-            if isinstance(block, list):
-                yield from block
-            else:
-                yield block  # a ColumnBatch travels intact as one record
+            yield block
+
+    def __iter__(self):
+        for block in self.blocks():
+            yield from block if isinstance(block, list) else block.to_rows()
 
 
 class SQLStreamInputFormat(InputFormat):

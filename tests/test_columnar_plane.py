@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import repro.columnar.text as text_module
 import repro.sql.executor as executor_module
 from repro import make_deployment
 from repro.cluster.cluster import make_paper_cluster
@@ -562,7 +563,7 @@ def test_columnar_pipeline_builds_no_row_tuple(monkeypatch, transport):
     monkeypatch.setattr(ColumnBatch, "to_rows", forbidden)
     monkeypatch.setattr(ColumnBatch, "from_rows", forbidden)
     monkeypatch.setattr(ColumnVector, "from_texts", forbidden)
-    monkeypatch.setattr(executor_module, "_split_columns", forbidden)
+    monkeypatch.setattr(text_module, "split_fields", forbidden)
     subset_spec = TransformSpec(recode=("abandoned",), dummy=(), label="abandoned")
     results = [
         dep.pipeline.run_insql_stream(
@@ -611,7 +612,7 @@ def test_default_pipeline_runs_the_vector_kernels(monkeypatch, transport):
     monkeypatch.setattr(ColumnBatch, "to_rows", pivot)
     monkeypatch.setattr(ColumnBatch, "from_rows", forbidden)
     monkeypatch.setattr(ColumnVector, "from_texts", forbidden)
-    monkeypatch.setattr(executor_module, "_split_columns", forbidden)
+    monkeypatch.setattr(text_module, "split_fields", forbidden)
     monkeypatch.setattr(executor_module, "_key_tuples", forbidden)  # Python-value join keys
 
     def over_data(bind_batch):
@@ -656,7 +657,7 @@ def test_columnar_pipeline_end_to_end():
 
     row_ds = row_result.ml_result.dataset
     col_ds = col_result.ml_result.dataset
-    assert not isinstance(row_ds, ArrayDataset)
+    assert isinstance(row_ds, ArrayDataset)  # R frames pivot into batches too
     assert isinstance(col_ds, ArrayDataset)
     assert col_ds.count() == row_ds.count() > 0
 

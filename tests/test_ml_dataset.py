@@ -7,7 +7,7 @@ from repro.cluster.cluster import make_paper_cluster
 from repro.hdfs.filesystem import DistributedFileSystem
 from repro.iofmt.inputformat import JobConf
 from repro.iofmt.text import CsvInputFormat
-from repro.ml.dataset import Dataset, LabeledPoint, labeled_point_from_fields
+from repro.ml.dataset import Dataset, LabeledPoint
 from repro.ml.job import MLJob
 
 
@@ -70,21 +70,6 @@ class TestLabeledPoint:
         assert a == b and hash(a) == hash(b)
         assert a != c
 
-    def test_from_fields_default_label_last(self):
-        point = labeled_point_from_fields(["1.5", "2", "0"])
-        assert point.label == 0.0
-        assert list(point.features) == [1.5, 2.0]
-
-    def test_from_fields_label_index(self):
-        point = labeled_point_from_fields([1, 2.5, 3], label_index=0)
-        assert point.label == 1.0
-        assert list(point.features) == [2.5, 3.0]
-
-    def test_from_fields_negative_index(self):
-        point = labeled_point_from_fields([1, 2, 3], label_index=-2)
-        assert point.label == 2.0
-        assert list(point.features) == [1.0, 3.0]
-
 
 class TestMLJobIngest:
     def make_env(self):
@@ -101,7 +86,9 @@ class TestMLJobIngest:
             input_format=CsvInputFormat(),
             conf=JobConf({"input.path": "/ml/data.csv"}, dfs=dfs),
             num_workers=6,
-            record_parser=lambda fields: labeled_point_from_fields(fields),
+            record_parser=lambda fields: LabeledPoint(
+                float(fields[-1]), np.array(fields[:-1], dtype=float)
+            ),
         )
         dataset, stats = job.ingest()
         assert stats.records == 300

@@ -1,5 +1,6 @@
 """Units for the per-session Budget and the shared RetryTokenBucket."""
 
+import json
 import time
 
 import pytest
@@ -162,16 +163,43 @@ class TestBudgetJournal:
         assert Budget.from_settings({"deadline_s": None}) is None
         assert Budget().to_settings() == {
             "deadline_s": None,
-            "deadline_unix": None,
+            "deadline_unix_us": None,
         }
 
     def test_expired_journal_raises_at_next_wait_not_construction(self):
-        settings = {"deadline_s": 1.0, "deadline_unix": time.time() - 5.0}
+        now = [0.0]
+        b = Budget(deadline_s=1.0, clock=lambda: now[0])
+        now[0] = 6.0  # journaled five seconds after the deadline passed
+        settings = b.to_settings()
         restored = Budget.from_settings(settings, session_id="s")
         assert restored is not None  # adoption itself must succeed
         time.sleep(0.01)
         with pytest.raises(DeadlineExceeded):
             restored.check("post-takeover wait")
+
+
+    def test_journaled_length_does_not_depend_on_the_wall_reading(self):
+        """The coordinator journals these settings as JSON, and a fault-free
+        ``zk.journal`` byte total must not depend on when a session started."""
+
+        class SweptClock:
+            def __init__(self, wall):
+                self._wall = wall
+
+            def now(self):
+                return 100.0
+
+            def wall(self):
+                return self._wall
+
+        lengths = set()
+        for i in range(2000):
+            clock = SweptClock(1_700_000_000.0 + i * 0.0123457)
+            settings = Budget(deadline_s=30.0, clock=clock).to_settings()
+            lengths.add(len(json.dumps(settings)))
+            restored = Budget.from_settings(settings, clock=clock)
+            assert abs(restored.remaining() - 30.0) < 1e-5
+        assert len(lengths) == 1
 
 
 class TestRetryTokenBucket:

@@ -37,6 +37,29 @@ class TestDdl:
         assert engine.catalog.get_entry("t").version == 1
         assert sorted(engine.query_rows("SELECT x FROM t")) == [(1,), (2,), (3,)]
 
+    def test_byte_estimate_is_computed_once_and_moved_by_insert(self, engine, monkeypatch):
+        """Planning and scanning an in-memory table read one cached estimate;
+        ``insert_rows`` drops it with the version bump, and the charged bytes
+        are what a fresh count gives."""
+        import repro.sql.table as table_module
+
+        table = engine.create_table("t", Schema.of(("x", DataType.INT)), [(1,), (2,)])
+        counted = []
+        estimate = table_module.estimate_rows_bytes
+        monkeypatch.setattr(
+            table_module, "estimate_rows_bytes", lambda rows: counted.append(1) or estimate(rows)
+        )
+        ledger = engine.cluster.ledger
+        before = ledger.get("sql.scan")
+        for _ in range(3):
+            engine.query_rows("SELECT x FROM t")
+        first = table.estimated_bytes()
+        assert len(counted) == len(table.partitions)  # one count, for all plans and scans
+        assert ledger.get("sql.scan") - before == 3 * first
+        engine.insert_rows("t", [(3,), (4,)])
+        assert table.estimated_bytes() == estimate(table.all_rows()) > first
+        assert len(counted) == 2 * len(table.partitions)
+
     def test_insert_into_external_rejected(self, engine, dfs):
         dfs.write_text("/e.csv", "1\n")
         engine.register_external_table("e", Schema.of(("x", DataType.INT)), "/e.csv")

@@ -10,7 +10,8 @@ from repro.hdfs.filesystem import DistributedFileSystem
 from repro.iofmt.inputformat import JobConf
 from repro.iofmt.text import CsvInputFormat, FileSplit, LineRecordReader
 from repro.sql.engine import BigSQL
-from repro.sql.executor import _split_columns, assign_splits
+from repro.columnar.text import RecordWidthError, split_fields
+from repro.sql.executor import assign_splits
 from repro.sql.planner import BROADCAST_THRESHOLD_BYTES
 from repro.sql.types import DataType, Schema
 
@@ -365,7 +366,7 @@ def per_line_columns(dfs, split, delimiter, width, kept):
     for index, record in enumerate(records, 1):
         if len(record) != width:
             return (
-                f"bad record in flat: expected {width} fields, got {len(record)} "
+                f"expected {width} fields, got {len(record)} "
                 f"(record {index} of the split of {split.path} starting at byte {split.start})"
             )
     return [[record[i] for record in records] for i in kept]
@@ -426,12 +427,13 @@ class TestFlatSplit:
                 split = FileSplit("/flat.csv", start, end - start)
                 expected = per_line_columns(dfs, split, delimiter, width, kept)
                 with LineRecordReader(dfs, split) as reader:
+                    raw = b"\n".join(reader.chunks())
                     if isinstance(expected, str):
-                        with pytest.raises(ExecutionError) as raised:
-                            _split_columns(b"\n".join(reader.chunks()), scan, split)
+                        with pytest.raises(RecordWidthError) as raised:
+                            split_fields(raw, split, delimiter, width, kept)
                         assert str(raised.value) == expected
                     else:
-                        assert _split_columns(b"\n".join(reader.chunks()), scan, split) == expected
+                        assert split_fields(raw, split, delimiter, width, kept) == expected
 
 
 class TestSplitAssignment:

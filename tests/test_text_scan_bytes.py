@@ -1,7 +1,7 @@
 """The text scan's cut on bytes (DESIGN §15, "the cut on bytes").
 
-``_cut_split`` + ``ColumnVector.from_fields`` type a split's kept columns from
-its bytes; ``_split_columns`` + ``ColumnVector.from_texts`` — the text-domain
+``cut_fields`` + ``ColumnVector.from_fields`` type a split's kept columns from
+its bytes; ``split_fields`` + ``ColumnVector.from_texts`` — the text-domain
 cut they replaced on plain tables — stay as the general path and are the
 oracle here: wherever the kernel does not decline it must build the very same
 vectors, dictionary order included.
@@ -18,7 +18,7 @@ from repro.columnar.batch import ColumnVector
 from repro.common.errors import ExecutionError
 from repro.iofmt.inputformat import JobConf
 from repro.iofmt.text import FileSplit, LineRecordReader, TextInputFormat
-from repro.sql.executor import _cut_split, _split_columns
+from repro.columnar.text import RecordWidthError, cut_fields, split_fields
 from repro.sql.types import DataType, Schema
 
 PATH = "/t/data.csv"
@@ -39,6 +39,18 @@ def text_table(raw: bytes, dtypes, delimiter=",", columnar=False):
 
 def scan_of(engine, kept):
     return engine.plan("SELECT " + ", ".join(f"c{i}" for i in kept) + " FROM t").child
+
+
+def cut_split(data: bytes, scan, dtypes):
+    """The scan's byte cut of one split's lines."""
+    table = scan.table
+    return cut_fields(data, table.external.delimiter, len(table.schema), scan.columns, dtypes)
+
+
+def split_columns(data: bytes, scan, split):
+    """The scan's general text cut of one split's lines."""
+    table = scan.table
+    return split_fields(data, split, table.external.delimiter, len(table.schema), scan.columns)
 
 
 def split_lines(dfs, split) -> bytes:
@@ -154,21 +166,21 @@ class TestKernelMatchesTheTextCut:
             data = split_lines(dfs, split)
             try:
                 expected = list(
-                    map(ColumnVector.from_texts, kept_dtypes, _split_columns(data, scan, split))
+                    map(ColumnVector.from_texts, kept_dtypes, split_columns(data, scan, split))
                 )
-            except ExecutionError:  # a malformed record: the general path names it
-                assert _cut_split(data, scan, kept_dtypes) is None
+            except RecordWidthError:  # a malformed record: the general path names it
+                assert cut_split(data, scan, kept_dtypes) is None
                 continue
             except (ValueError, OverflowError) as unparsable:
                 with pytest.raises(type(unparsable)):
-                    assert _cut_split(data, scan, kept_dtypes) is None
+                    assert cut_split(data, scan, kept_dtypes) is None
                     raise unparsable
                 continue
             declined = []  # per kept column: did from_fields hand it to from_texts?
             with mock.patch.object(ColumnVector, "from_fields", classmethod(
                 lambda cls, *args: declined.append(from_fields(cls, *args)) or declined[-1]
             )):
-                got = _cut_split(data, scan, kept_dtypes)
+                got = cut_split(data, scan, kept_dtypes)
             if got is None:
                 assert len(delimiter) > 1 or b"" in data.split(b"\n")  # or no line at all
                 continue
@@ -232,7 +244,7 @@ class TestKernelMatchesTheTextCut:
 INT, DOUBLE, VARCHAR, BOOLEAN = (
     DataType.INT, DataType.DOUBLE, DataType.VARCHAR, DataType.BOOLEAN
 )
-SPLIT = "split"  # the whole split goes to _split_columns
+SPLIT = "split"  # the whole split goes to split_fields
 #: (id, column types, file bytes, delimiter, who declines: SPLIT | set of columns)
 DECLINES = [
     ("plain", (INT, DOUBLE, VARCHAR), b"-7,36.60,No\n007,-0.0,\xc3\xa9\xe2\x9c\x93\n", ",", set()),
@@ -300,7 +312,7 @@ def test_decline_table(monkeypatch, dtypes, raw, delimiter, declines):
 
     data = split_lines(dfs, FileSplit(PATH, 0, len(raw)))
     try:
-        cut = _cut_split(data, scan, list(dtypes))
+        cut = cut_split(data, scan, list(dtypes))
     except (ValueError, OverflowError):
         cut = "raised"
     if declines == SPLIT:
