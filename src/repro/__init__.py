@@ -81,7 +81,6 @@ def make_deployment(
     num_workers: int = 4,
     block_size: int = 4 * 1024 * 1024,
     replication: int = 3,
-    byte_scale: float = 1.0,
     cost_model: CostModel | None = None,
     buffer_bytes: int = 4096,
     batch_rows: int = 256,
@@ -90,23 +89,16 @@ def make_deployment(
     transport: str = "memory",
     fault_injector=None,  # FaultInjector | None (§6 chaos testing)
     recovery=None,  # RecoveryManager | None (§6 recovery protocol)
-    checkpoint_dir: str | None = None,  # DFS dir for training checkpoints
     checkpoint_interval: int = 0,  # iterations between saves; 0 = off
     ha_standbys: int = 0,  # standby coordinators; 0 = single coordinator
-    zk=None,  # ZooKeeperLite | None — the HA coordination service
     max_concurrent_sessions: int = 1,  # >1 turns on multi-tenant serving
     tenant_quotas: dict | None = None,  # tenant -> max concurrent sessions
-    tenant_spill_budgets: dict | None = None,  # tenant -> spill-byte budget
     admission_queue_depth: int = 64,  # bounded FIFO behind the quota gate
     tenant_priorities: dict | None = None,  # tenant -> shed priority (higher wins)
     default_deadline_s: float | None = None,  # end-to-end session budget; None = off
     retry_budget_tokens: int | None = None,  # deployment-wide retry allowance
-    retry_budget_refill_per_s: float = 0.0,  # token refill rate (0 = fixed pool)
     clock=None,  # repro.sim.clock.Clock | None — deployment-wide time source
     dfs_capacity_bytes: int | None = None,  # per-DataNode disk capacity
-    dfs_scanner: bool = False,  # start the periodic storage scanner
-    dfs_heartbeat_ttl_s: float = 10.0,  # datanode liveness TTL
-    dfs_scanner_interval_s: float = 1.0,  # seconds between scanner cycles
 ) -> Deployment:
     """Build the paper's testbed topology, fully wired.
 
@@ -154,34 +146,31 @@ def make_deployment(
 
     ``checkpoint_interval > 0`` turns on §6 resumable training: a
     :class:`~repro.checkpoint.CheckpointStore` on the DFS (under
-    ``checkpoint_dir``, default ``/checkpoints``) snapshots iterative-model
+    ``/checkpoints``) snapshots iterative-model
     state every that-many iterations.  Off by default — the fault-free byte
     ledgers of Figures 3/4 stay bit-identical unless opted in.
 
     ``ha_standbys > 0`` turns on coordinator high availability: a
     :class:`~repro.transfer.ha.CoordinatorHAGroup` runs one leader plus
-    that many standbys behind a ZooKeeperLite lease (``zk`` supplies the
-    coordination service, default a fresh one), every session mutation is
+    that many standbys behind a ZooKeeperLite lease, every session mutation is
     journaled to ZK, and ``deployment.coordinator`` becomes the
     :class:`~repro.transfer.ha.FailoverCoordinator` proxy clients retry
     through after a takeover.  Off by default — no journal traffic, byte
     ledgers bit-identical to the single-coordinator deployment.
 
     ``max_concurrent_sessions > 1`` (or any ``tenant_quotas`` /
-    ``tenant_spill_budgets``) turns on multi-tenant serving: a
+    ``tenant_priorities``) turns on multi-tenant serving: a
     :class:`~repro.transfer.admission.SessionAdmission` gate with per-tenant
     quotas and a bounded FIFO queue in front of ``create_session``, a
     :class:`~repro.transfer.admission.WorkerPoolScheduler` leasing the
-    shared ML worker slots fairly across live sessions, a
-    :class:`~repro.transfer.admission.SpillGovernor` isolating one tenant's
-    spill backpressure from everyone else's streams.  The
+    shared ML worker slots fairly across live sessions.  The
     default (1, None, None) is the seed single-session behavior: none of
     the objects exist, no new ledger categories are emitted, and the
     fault-free Figure 3/4 byte totals stay bit-identical.
 
     ``default_deadline_s`` arms every session with an end-to-end budget:
-    one clock that every blocking wait (admission, worker slots, governor
-    pauses, channel receives, broker fetches, the result wait) derives its
+    one clock that every blocking wait (admission, worker slots,
+    channel receives, broker fetches, the result wait) derives its
     timeout from, raising the typed, non-retryable
     :class:`~repro.common.errors.DeadlineExceeded` when spent — instead of
     the stacked per-layer defaults.  Per-session override:
@@ -202,17 +191,14 @@ def make_deployment(
     :class:`~repro.sim.clock.VirtualClock` so multi-second fault scenarios
     run deterministically in milliseconds (DESIGN §13).
 
-    ``dfs_capacity_bytes`` / ``dfs_scanner`` / ``dfs_heartbeat_ttl_s`` /
-    ``dfs_scanner_interval_s`` arm the self-healing storage plane (DESIGN
-    §14): finite per-DataNode disks whose overflow raises the typed
+    ``dfs_capacity_bytes`` gives the self-healing storage plane (DESIGN
+    §14) finite per-DataNode disks whose overflow raises the typed
     :class:`~repro.common.errors.StorageFullError` (redirected by the write
-    pipeline, laddered by spill buffers and checkpoint commits), and a
-    background :class:`~repro.hdfs.scanner.StorageScanner` that pumps
+    pipeline, laddered by spill buffers and checkpoint commits); off by
+    default.  ``deployment.dfs.run_repair_cycle()`` runs the
+    :class:`~repro.hdfs.scanner.StorageScanner` once: it pumps
     clock-injected heartbeats, scrubs replica checksums, and re-replicates
-    under-replicated blocks.  All off by default — virtual-clock runs
-    should leave ``dfs_scanner=False`` and call
-    ``deployment.dfs.run_repair_cycle()`` at quiescence instead (a
-    free-running loop would spin virtual time once the workload ends).
+    under-replicated blocks.
     """
     from repro.sim.clock import WALL
 
@@ -231,40 +217,26 @@ def make_deployment(
         fault_injector=storage_injector,
         clock=clock,
         capacity_bytes=dfs_capacity_bytes,
-        heartbeat_ttl_s=dfs_heartbeat_ttl_s,
-        scanner_interval_s=dfs_scanner_interval_s,
     )
-    if dfs_scanner:
-        dfs.start_scanner()
     engine = BigSQL(cluster, dfs)
     if clock is not WALL:
         # Table-UDF workers and executor tasks look the clock up through
         # ExecutionContext.services to register as simulation-managed.
         engine.add_service("clock", clock)
     ml = MLSystem(cluster, workers_per_node=workers_per_node)
-    admission = worker_pool = spill_governor = None
-    multitenant = (
-        max_concurrent_sessions > 1
-        or tenant_quotas
-        or tenant_spill_budgets
-        or tenant_priorities
-    )
+    admission = worker_pool = None
+    multitenant = max_concurrent_sessions > 1 or tenant_quotas or tenant_priorities
     retry_budget = None
     if retry_budget_tokens is not None:
         from repro.runtime.budget import RetryTokenBucket
 
         retry_budget = RetryTokenBucket(
             capacity=retry_budget_tokens,
-            refill_per_s=retry_budget_refill_per_s,
             ledger=cluster.ledger,
             clock=clock,
         )
     if multitenant:
-        from repro.transfer.admission import (
-            SessionAdmission,
-            SpillGovernor,
-            WorkerPoolScheduler,
-        )
+        from repro.transfer.admission import SessionAdmission, WorkerPoolScheduler
 
         admission = SessionAdmission(
             max_concurrent_sessions=max_concurrent_sessions,
@@ -279,19 +251,12 @@ def make_deployment(
             ledger=cluster.ledger,
             clock=clock,
         )
-        if tenant_spill_budgets:
-            spill_governor = SpillGovernor(
-                tenant_budgets=tenant_spill_budgets,
-                ledger=cluster.ledger,
-                clock=clock,
-            )
     ha_group = None
     if ha_standbys > 0:
         from repro.transfer.ha import CoordinatorHAGroup
 
         ha_group = CoordinatorHAGroup(
             cluster,
-            zk=zk,
             standbys=ha_standbys,
             buffer_bytes=buffer_bytes,
             batch_rows=batch_rows,
@@ -300,7 +265,6 @@ def make_deployment(
             fault_injector=fault_injector,
             admission=admission,
             worker_pool=worker_pool,
-            spill_governor=spill_governor,
             retry_budget=retry_budget,
             default_deadline_s=default_deadline_s,
             clock=clock,
@@ -316,7 +280,6 @@ def make_deployment(
             fault_injector=fault_injector,
             admission=admission,
             worker_pool=worker_pool,
-            spill_governor=spill_governor,
             retry_budget=retry_budget,
             default_deadline_s=default_deadline_s,
             clock=clock,
@@ -330,7 +293,7 @@ def make_deployment(
 
         ml.checkpoint_store = CheckpointStore(
             dfs,
-            base_dir=checkpoint_dir or "/checkpoints",
+            base_dir="/checkpoints",
             ledger=cluster.ledger,
             injector=effective_injector,
         )
@@ -342,7 +305,6 @@ def make_deployment(
         ml_system=ml,
         coordinator=coordinator,
         cost_model=cost_model,
-        byte_scale=byte_scale,
         columnar=columnar,
     )
     return Deployment(

@@ -139,10 +139,6 @@ class MessageBroker:
             total_bytes=sum(log.bytes for log in logs),
         )
 
-    def topic_exists(self, name: str) -> bool:
-        with self._lock:
-            return name in self._topics
-
     def _logs(self, name: str) -> list[_PartitionLog]:
         with self._lock:
             logs = self._topics.get(name)

@@ -122,21 +122,6 @@ class CheckpointStore:
                     continue
         return sorted(found)
 
-    def delete_job(self, job_id: str) -> None:
-        """Drop every checkpoint of a finished job."""
-        job_dir = self._job_dir(job_id)
-        if self.dfs.exists(job_dir):
-            self.dfs.delete(job_dir, recursive=True)
-
-    def export(self, job_id: str) -> dict[str, bytes]:
-        """Raw bytes of every committed checkpoint (for CI artifacts)."""
-        return {
-            self._path(job_id, v).rsplit("/", 1)[-1]: self.dfs.read_bytes(
-                self._path(job_id, v), client_ip=self.client_ip
-            )
-            for v in self.versions(job_id)
-        }
-
     # ------------------------------------------------------------ save/load
 
     def save(self, job_id: str, state: dict) -> int:

@@ -14,7 +14,7 @@ composed with the pipeline structure of each stage.
 """
 
 from repro.cluster.cluster import Cluster, make_paper_cluster
-from repro.cluster.cost import CostLedger, CostModel, StageCost
+from repro.cluster.cost import CostLedger, CostModel
 from repro.cluster.node import Disk, Node
 
 __all__ = [
@@ -23,6 +23,5 @@ __all__ = [
     "CostModel",
     "Disk",
     "Node",
-    "StageCost",
     "make_paper_cluster",
 ]

@@ -24,8 +24,6 @@ class Cluster:
         self.nodes = list(nodes)
         self.network_bps = network_bps
         self.ledger = CostLedger()
-        self._by_ip = {n.ip: n for n in nodes}
-        self._by_id = {n.node_id: n for n in nodes}
 
     @property
     def head(self) -> Node:
@@ -36,14 +34,6 @@ class Cluster:
     def workers(self) -> list[Node]:
         """All nodes except the head."""
         return self.nodes[1:] if len(self.nodes) > 1 else self.nodes
-
-    def node_by_ip(self, ip: str) -> Node:
-        """Look a node up by its IP (KeyError if unknown)."""
-        return self._by_ip[ip]
-
-    def node_by_id(self, node_id: int) -> Node:
-        """Look a node up by its id (KeyError if unknown)."""
-        return self._by_id[node_id]
 
     def is_local(self, ip_a: str, ip_b: str) -> bool:
         """True when both IPs name the same node (no network hop needed)."""

@@ -96,10 +96,6 @@ class CostModel:
         """Write ``nbytes`` to the DFS with replication."""
         return nbytes / self.dfs_write_bps
 
-    def dfs_read_time(self, nbytes: float) -> float:
-        """Sequentially read ``nbytes`` from the DFS."""
-        return nbytes / self.dfs_read_bps
-
     def mr_pass_time(self, in_bytes: float, out_bytes: float) -> float:
         """One MapReduce pass: startup + processing + replicated output write."""
         return (
@@ -130,45 +126,6 @@ class CostModel:
 def paper_cost_model() -> CostModel:
     """The calibration used for all paper-shape benchmarks."""
     return CostModel()
-
-
-@dataclass(frozen=True)
-class StageCost:
-    """Simulated cost of one pipeline stage at paper scale."""
-
-    name: str
-    seconds: float
-    bytes_in: float = 0.0
-    bytes_out: float = 0.0
-    detail: str = ""
-
-    def __str__(self) -> str:
-        return f"{self.name}: {self.seconds:.1f}s"
-
-
-def sequential(name: str, stages: list[StageCost]) -> StageCost:
-    """Compose stages separated by materialization boundaries (sum)."""
-    return StageCost(
-        name=name,
-        seconds=sum(s.seconds for s in stages),
-        bytes_in=stages[0].bytes_in if stages else 0.0,
-        bytes_out=stages[-1].bytes_out if stages else 0.0,
-        detail=" + ".join(s.name for s in stages),
-    )
-
-
-def pipelined(name: str, stages: list[StageCost]) -> StageCost:
-    """Compose stages that overlap in one pipeline (bottleneck = max)."""
-    if not stages:
-        return StageCost(name=name, seconds=0.0)
-    bottleneck = max(stages, key=lambda s: s.seconds)
-    return StageCost(
-        name=name,
-        seconds=bottleneck.seconds,
-        bytes_in=stages[0].bytes_in,
-        bytes_out=stages[-1].bytes_out,
-        detail=f"bottleneck={bottleneck.name}",
-    )
 
 
 class CostLedger:

@@ -30,15 +30,5 @@ class Node:
     ram_bytes: int = 96 * 10**9
     disks: tuple[Disk, ...] = field(default_factory=lambda: tuple(Disk() for _ in range(12)))
 
-    @property
-    def disk_read_bps(self) -> float:
-        """Aggregate sequential read bandwidth across all local disks."""
-        return sum(d.read_bps for d in self.disks)
-
-    @property
-    def disk_write_bps(self) -> float:
-        """Aggregate sequential write bandwidth across all local disks."""
-        return sum(d.write_bps for d in self.disks)
-
     def __str__(self) -> str:  # pragma: no cover - debug convenience
         return f"{self.hostname}({self.ip})"

@@ -193,11 +193,6 @@ class RecoveryManager:
 
     # ------------------------------------------------------ partial restart
 
-    def restarts_of(self, session_id: str, worker_id: int) -> int:
-        with self._lock:
-            state = self._sessions.get(session_id)
-            return 0 if state is None else state.restarts.get(worker_id, 0)
-
     def begin_partial_restart(
         self, coordinator, session_id: str, worker_id: int, reason: str
     ) -> dict:
@@ -257,25 +252,7 @@ class RecoveryManager:
                 MLRecoveryEvent(job_id=job_id, tier=tier, reason=reason)
             )
 
-    def ml_recoveries_of(self, job_id: str) -> list[MLRecoveryEvent]:
-        with self._lock:
-            return [e for e in self.ml_recovery_events if e.job_id == job_id]
-
     # -------------------------------------------------------------- summary
-
-    def monitor_actions(self) -> list[dict]:
-        """Partial restarts initiated by a :class:`LivenessMonitor` (rather
-        than by a sender noticing its own failure)."""
-        with self._lock:
-            return [
-                {
-                    "session_id": e.session_id,
-                    "sql_worker_id": e.sql_worker_id,
-                    "reason": e.reason,
-                }
-                for e in self.restart_events
-                if "liveness monitor" in e.reason
-            ]
 
     def summary(self) -> dict:
         """Recovery activity totals (for benchmarks and reports)."""

@@ -347,11 +347,10 @@ class DistributedFileSystem:
       :class:`StorageFullError` (redirected by the write pipeline first);
     * ``fault_injector`` — arms the ``dfs.replica_corrupt`` /
       ``dfs.read_error`` / ``dfs.datanode_down`` / ``dfs.enospc`` sites;
-    * ``clock`` — time source for heartbeats and the scanner loop
+    * ``clock`` — time source for heartbeats and the scanner
       (:data:`~repro.sim.clock.WALL` when None);
     * the :class:`~repro.hdfs.scanner.StorageScanner` is always constructed
-      but never runs unless :meth:`start_scanner` / :meth:`run_repair_cycle`
-      is called (``make_deployment(dfs_scanner=True)`` starts it).
+      but never runs unless :meth:`run_repair_cycle` is called.
     """
 
     def __init__(
@@ -364,7 +363,6 @@ class DistributedFileSystem:
         capacity_bytes: int | None = None,  # per-DataNode disk capacity
         seed: int = 7,  # placement + read-rotation seed
         heartbeat_ttl_s: float = 10.0,
-        scanner_interval_s: float = 1.0,
     ):
         from repro.sim.clock import WALL
 
@@ -387,9 +385,7 @@ class DistributedFileSystem:
             )
             for i, n in enumerate(cluster.workers)
         }
-        self.scanner = StorageScanner(
-            self, clock=self.clock, interval_s=scanner_interval_s
-        )
+        self.scanner = StorageScanner(self, clock=self.clock)
 
     # ------------------------------------------------------------------ I/O
 
@@ -424,9 +420,8 @@ class DistributedFileSystem:
     def run_repair_cycle(self) -> ScanReport:
         """One synchronous scrub + re-replication pass (heartbeats pumped).
 
-        The way virtual-time runs drive the scanner: call it at quiescence
-        instead of :meth:`start_scanner` (a free-running loop would spin
-        virtual time once the workload finishes)."""
+        The way virtual-time runs drive the scanner: call it at
+        quiescence."""
         return self.scanner.run_cycle()
 
     def repair_until_stable(self, max_cycles: int = 4) -> ScanReport:
@@ -436,14 +431,6 @@ class DistributedFileSystem:
     def fsck(self) -> FsckReport:
         """Checksum-verified health report over every completed file."""
         return self.scanner.fsck()
-
-    def start_scanner(self) -> None:
-        """Start the periodic background scanner (wall-clock deployments)."""
-        self.scanner.start()
-
-    def stop_scanner(self) -> None:
-        """Stop the background scanner, joining its thread."""
-        self.scanner.stop()
 
     def decommission(self, ip: str) -> None:
         """Drain a DataNode: no new placements; the scanner re-replicates

@@ -439,10 +439,6 @@ class NameNode:
             self._ensure_parents(dst)
             return reclaimed
 
-    def replica_map(self, path: str) -> dict[str, tuple[str, ...]]:
-        """block_id -> replica host IPs for one file."""
-        return dict(self.get_file(path).replica_hosts)
-
     # -------------------------------------------------------------- helpers
 
     def _ensure_parents(self, path: str) -> None:

@@ -17,15 +17,9 @@ The self-healing loop of the storage plane (DESIGN §14).  One cycle:
 
 All scanner traffic is accounted to the dedicated ``dfs.scan.*`` /
 ``dfs.repair.*`` ledger categories — never to ``dfs.read`` /
-``dfs.write.local`` — and the scanner only runs when explicitly armed
-(``make_deployment(dfs_scanner=True)``, an explicit :meth:`run_cycle`, or
-the chaos harness's quiescence repair), so fault-free Figure 3/4 ledgers
-stay bit-identical to the seed.
-
-:meth:`start` runs cycles on a background thread through the injected
-clock (virtual-clock runs prefer explicit :meth:`run_cycle` calls at
-quiescence — a free-running scanner would otherwise spin virtual time to
-its ceiling once the workload finishes).
+``dfs.write.local`` — and the scanner only runs when explicitly called
+(:meth:`run_cycle`, or the chaos harness's quiescence repair), so
+fault-free Figure 3/4 ledgers stay bit-identical to the seed.
 """
 
 import threading
@@ -37,7 +31,7 @@ from repro.common.errors import (
     DataNodeDownError,
     StorageFullError,
 )
-from repro.sim.clock import VirtualTimeExhausted, WALL
+from repro.sim.clock import WALL
 
 
 @dataclass
@@ -83,15 +77,12 @@ class FsckReport:
 
 
 class StorageScanner:
-    """Background (or on-demand) self-healing loop over one DFS."""
+    """On-demand self-healing pass over one DFS."""
 
-    def __init__(self, fs, clock=None, interval_s: float = 1.0):
+    def __init__(self, fs, clock=None):
         self.fs = fs
         self.clock = clock or WALL
-        self.interval_s = interval_s
         self.cycles = 0
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
         self._cycle_lock = threading.Lock()
 
     # ----------------------------------------------------------- the cycle
@@ -242,30 +233,3 @@ class StorageScanner:
             if cycle.corrupt_replicas == 0 and cycle.repaired_blocks == 0:
                 break
         return total
-
-    # ------------------------------------------------------ background loop
-
-    def start(self) -> None:
-        """Run cycles every ``interval_s`` on a daemon thread through the
-        injected clock.  Idempotent."""
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._stop.clear()
-
-        def loop() -> None:
-            while not self._stop.is_set():
-                try:
-                    self.run_cycle()
-                    self.clock.wait_until(self._stop, self.interval_s)
-                except VirtualTimeExhausted:
-                    return  # the simulation's horizon: stop quietly
-
-        self._thread = self.clock.spawn(loop, name="dfs-scanner")
-
-    def stop(self, timeout_s: float = 5.0) -> None:
-        """Stop the background loop and join it."""
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout_s)
-            self._thread = None

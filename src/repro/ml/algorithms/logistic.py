@@ -31,10 +31,6 @@ class LogisticRegressionModel:
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         return (_sigmoid(X @ self.weights + self.intercept) >= 0.5).astype(int)
 
-    def score_many(self, X: np.ndarray) -> np.ndarray:
-        """Probabilities for a matrix of examples (for AUC computation)."""
-        return _sigmoid(X @ self.weights + self.intercept)
-
 
 class LogisticRegressionWithSGD:
     """Static trainer mirroring MLlib's LogisticRegressionWithSGD."""

@@ -68,9 +68,6 @@ class Dataset:
     def filter(self, fn: Callable) -> "Dataset":
         return Dataset([[r for r in p if fn(r)] for p in self._partitions])
 
-    def map_partitions(self, fn: Callable[[list], list]) -> "Dataset":
-        return Dataset([list(fn(p)) for p in self._partitions])
-
     def sample(self, fraction: float, seed: int = 0) -> "Dataset":
         """Bernoulli sample per record (deterministic under the seed)."""
         rng = np.random.default_rng(seed)

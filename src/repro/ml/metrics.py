@@ -76,17 +76,6 @@ def rmse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.sqrt(((y_true - y_pred) ** 2).mean()))
 
 
-def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Coefficient of determination."""
-    y_true = np.asarray(y_true, float)
-    y_pred = np.asarray(y_pred, float)
-    ss_res = float(((y_true - y_pred) ** 2).sum())
-    ss_tot = float(((y_true - y_true.mean()) ** 2).sum())
-    if ss_tot == 0.0:
-        return 1.0 if ss_res == 0.0 else 0.0
-    return 1.0 - ss_res / ss_tot
-
-
 def _validate(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)

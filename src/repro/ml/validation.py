@@ -1,4 +1,4 @@
-"""Model validation utilities: splits and cross-validation.
+"""Model validation utilities: held-out splits and evaluation.
 
 The §5.1 workflow — "run a number of classification algorithms ... to
 compare the quality of different classifiers on a particular dataset" —
@@ -8,7 +8,6 @@ distribution structure.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -31,27 +30,6 @@ def train_test_split(
         train_parts.append([r for r, m in zip(partition, mask) if not m])
         test_parts.append([r for r, m in zip(partition, mask) if m])
     return Dataset(train_parts), Dataset(test_parts)
-
-
-def k_folds(dataset: Dataset, k: int, seed: int = 42) -> list[tuple[Dataset, Dataset]]:
-    """K (train, validation) pairs; every record lands in exactly one
-    validation fold."""
-    if k < 2:
-        raise MLError("k-fold needs k >= 2")
-    rng = np.random.default_rng(seed)
-    assignments = [rng.integers(0, k, size=len(p)) for p in dataset.partitions()]
-    folds = []
-    for fold in range(k):
-        train_parts = [
-            [r for r, a in zip(p, assignment) if a != fold]
-            for p, assignment in zip(dataset.partitions(), assignments)
-        ]
-        validation_parts = [
-            [r for r, a in zip(p, assignment) if a == fold]
-            for p, assignment in zip(dataset.partitions(), assignments)
-        ]
-        folds.append((Dataset(train_parts), Dataset(validation_parts)))
-    return folds
 
 
 @dataclass(frozen=True)
@@ -78,26 +56,3 @@ def evaluate_classifier(model, test: Dataset) -> EvaluationResult:
         f1=metrics.f1_score(y, predictions),
         test_records=len(y),
     )
-
-
-def cross_validate(
-    dataset: Dataset,
-    trainer: Callable[[Dataset], object],
-    k: int = 5,
-    seed: int = 42,
-) -> list[EvaluationResult]:
-    """Train+evaluate over k folds; returns the per-fold results."""
-    results = []
-    for train, validation in k_folds(dataset, k, seed):
-        if train.count() == 0 or validation.count() == 0:
-            raise MLError(f"fold too small: {train.count()}/{validation.count()}")
-        model = trainer(train)
-        results.append(evaluate_classifier(model, validation))
-    return results
-
-
-def mean_accuracy(results: list[EvaluationResult]) -> float:
-    """Average accuracy across folds."""
-    if not results:
-        raise MLError("no evaluation results")
-    return float(np.mean([r.accuracy for r in results]))

@@ -37,9 +37,6 @@ class QueryShape:
             mapping.setdefault(expr, name)
         return mapping
 
-    def projection_names(self) -> list[str]:
-        return [name for name, _ in self.projections]
-
 
 def extract_shape(query: SelectQuery, engine) -> QueryShape | None:
     """Build a shape, or None when the query uses constructs the §5 rules

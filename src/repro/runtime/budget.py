@@ -1,7 +1,7 @@
 """Per-session execution budgets: one deadline, one cancel flag, one clock.
 
 The serving plane used to stack independent flat timeouts — 30s at
-admission, 120s at the worker-pool scheduler, 10s at the spill governor,
+admission, 120s at the worker-pool scheduler,
 30s per channel receive — so a wedged session could take minutes to
 surface an error and a client deadline was invisible past the first gate.
 A :class:`Budget` replaces the stack with a single monotonic deadline

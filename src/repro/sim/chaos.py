@@ -265,7 +265,7 @@ class ChaosScenario:
 #: for observability; they just are not part of the determinism contract,
 #: exactly like wall latencies.
 CONTENTION_COUNTERS = frozenset(
-    {"scheduler.waits", "admission.queued", "governor.throttled"}
+    {"scheduler.waits", "admission.queued"}
 )
 
 

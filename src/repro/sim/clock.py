@@ -82,9 +82,6 @@ class Clock:
         raise NotImplementedError
 
     # -------------------------------------- thread management (virtual)
-    def register_thread(self, name: str | None = None) -> None:
-        """Mark the calling thread as simulation-managed (no-op on wall)."""
-
     def unregister_thread(self) -> None:
         """Remove the calling thread from the managed set (no-op on wall)."""
 
@@ -266,11 +263,6 @@ class VirtualClock(Clock):
 
     # -------------------------------------- thread management
 
-    def register_thread(self, name: str | None = None) -> None:
-        ident = threading.get_ident()
-        with self._lock:
-            self._managed[ident] = name or threading.current_thread().name
-
     def unregister_thread(self) -> None:
         ident = threading.get_ident()
         with self._lock:
@@ -322,10 +314,6 @@ class VirtualClock(Clock):
         return thread
 
     # ------------------------------------------------------ diagnostics
-
-    def managed_threads(self) -> list[str]:
-        with self._lock:
-            return sorted(self._managed.values())
 
     def blocked_outside_clock(self) -> list[str]:
         """Names of managed threads *not* blocked in a clock sleep — the

@@ -97,15 +97,6 @@ class Catalog:
             entry.version += 1
             return entry.version
 
-    def table_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._entries)
-
-    def materialized_views(self) -> list[CatalogEntry]:
-        """All entries that are materialized views (have a definition)."""
-        with self._lock:
-            return [e for e in self._entries.values() if e.definition is not None]
-
     # ------------------------------------------------------------ table UDFs
 
     def register_table_udf(self, udf: TableUDF) -> None:

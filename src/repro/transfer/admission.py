@@ -1,8 +1,7 @@
-"""Multi-tenant serving: admission control, shared-worker scheduling, and
-spill isolation.
+"""Multi-tenant serving: admission control and shared-worker scheduling.
 
 Everything before this module ran one streaming session at a time; the
-coordinator protocol (§3) never said it had to.  Three small, independent
+coordinator protocol (§3) never said it had to.  Two small, independent
 mechanisms make many concurrent prep+train sessions safe on one deployment:
 
 * :class:`SessionAdmission` — a per-tenant quota gate in front of
@@ -18,22 +17,17 @@ mechanisms make many concurrent prep+train sessions safe on one deployment:
   sound without deadlock because SQL-side senders *never block*
   (:class:`~repro.transfer.buffers.SpillableBuffer.put` spills instead), so
   a reader waiting for a slot only delays its own drain.
-* :class:`SpillGovernor` — per-tenant spill-byte budgets.  A tenant whose
-  outstanding spilled bytes exceed its budget has its own senders pause
-  until its own readers drain (or a bounded wait elapses — the governor
-  shapes, it never wedges); other tenants' channels are untouched, which is
-  the backpressure-isolation half of multi-tenancy.
 
-All three are off by default (``make_deployment(max_concurrent_sessions=1)``
-wires none of them), and their counters — ``admission.queued``,
-``admission.rejected``, ``scheduler.waits``, ``governor.throttled``, plus
-the overload-shedding counters ``shed.expired``/``shed.preempted`` — are
-dedicated ledger categories, so the fault-free Figure 3/4 byte totals stay
-bit-identical to the seed unless a deployment opts in.
+Both are off by default (``make_deployment(max_concurrent_sessions=1)``
+wires neither), and their counters — ``admission.queued``,
+``admission.rejected``, ``scheduler.waits``, plus the overload-shedding
+counters ``shed.expired``/``shed.preempted`` — are dedicated ledger
+categories, so the fault-free Figure 3/4 byte totals stay bit-identical to
+the seed unless a deployment opts in.
 
-All three gates also accept an optional per-session
+Both gates also accept an optional per-session
 :class:`~repro.runtime.budget.Budget`: waits are clamped to the budget's
-remaining time (one shared clock instead of stacked 30s+120s+10s defaults)
+remaining time (one shared clock instead of stacked 30s+120s defaults)
 and a cancelled budget *wakes* blocked waiters instead of letting them time
 out.  Expired queue tickets are shed before promotion, and with
 ``tenant_priorities`` a full queue sheds its lowest-priority waiter to make
@@ -275,19 +269,10 @@ class SessionAdmission:
             if session_id not in self._running:
                 self._admit_locked(session_id, tenant)
 
-    def adopt_state(self, state: dict | None) -> None:
-        """Merge a journaled :meth:`queue_state` snapshot (running set only:
-        queued clients are still blocked in their own ``acquire`` calls and
-        will re-enter through the live gate)."""
-        if not state:
-            return
-        for session_id, tenant in (state.get("running") or {}).items():
-            self.adopt(session_id, tenant)
-
     # ------------------------------------------------------- observability
 
     def queue_state(self) -> dict:
-        """Snapshot for the HA journal: who runs, who waits, in what order."""
+        """Snapshot: who runs, who waits, in what order."""
         with self._lock:
             return {
                 "running": dict(self._running),
@@ -428,106 +413,3 @@ class WorkerPoolScheduler:
                 self._held[session_id] = held - 1
             self._free += 1
             self._cond.notify_all()
-
-    def held_by(self, session_id: str) -> int:
-        with self._cond:
-            return self._held.get(session_id, 0)
-
-
-class SpillGovernor:
-    """Per-tenant spill budgets: over-budget tenants throttle *themselves*.
-
-    Channels charge spilled bytes here as they overflow and credit them back
-    as readers drain; a sender whose tenant is over budget pauses in
-    :meth:`throttle` until the tenant's own readers catch up.  The wait is
-    bounded (``timeout_s``) and then proceeds — the governor shapes flow, it
-    must never deadlock a stream whose reader has not started yet — and a
-    tenant with no configured budget is never touched.
-    """
-
-    def __init__(
-        self,
-        tenant_budgets: dict[str, int] | None = None,
-        default_budget: int | None = None,
-        timeout_s: float = 10.0,
-        ledger=None,
-        clock=None,
-    ):
-        self.tenant_budgets = dict(tenant_budgets or {})
-        self.default_budget = default_budget
-        self.timeout_s = timeout_s
-        self._clock = clock or WALL
-        self._ledger = ledger
-        self._outstanding: dict[str, int] = {}
-        self._cond = threading.Condition()
-        self.throttled = 0  # sends that had to pause
-        self.forced_through = 0  # throttle waits that hit the bound
-
-    def _budget(self, tenant: str) -> int | None:
-        return self.tenant_budgets.get(tenant, self.default_budget)
-
-    def charge(self, tenant: str, nbytes: int) -> None:
-        """More of this tenant's bytes sit in spill (called under the
-        channel/buffer lock — this only touches the governor's own lock)."""
-        if nbytes <= 0:
-            return
-        with self._cond:
-            self._outstanding[tenant] = self._outstanding.get(tenant, 0) + nbytes
-
-    def credit(self, tenant: str, nbytes: int) -> None:
-        """Spilled bytes drained back out; unblock the tenant's senders."""
-        if nbytes <= 0:
-            return
-        with self._cond:
-            level = self._outstanding.get(tenant, 0) - nbytes
-            self._outstanding[tenant] = max(level, 0)
-            self._cond.notify_all()
-
-    def outstanding(self, tenant: str) -> int:
-        with self._cond:
-            return self._outstanding.get(tenant, 0)
-
-    def _wake_all(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
-
-    def throttle(self, tenant: str, budget: Budget | None = None) -> None:
-        """Pause the calling sender while its tenant is over budget.
-
-        With a session ``budget``, the pause is clamped to the budget's
-        remaining time and a cancel wakes the sender immediately — the
-        governor never raises (it shapes, it doesn't fail); the send path's
-        own budget check surfaces the typed error right after.
-        """
-        cap = self._budget(tenant)
-        if cap is None:
-            return
-        bound = self.timeout_s
-        dispose = None
-        if budget is not None:
-            if budget.cancelled or budget.expired:
-                return
-            clamped = budget.clamp(bound)
-            if clamped is not None:
-                bound = clamped
-            dispose = budget.on_cancel(self._wake_all)
-        deadline = self._clock.now() + bound
-        try:
-            with self._cond:
-                if self._outstanding.get(tenant, 0) <= cap:
-                    return
-                self.throttled += 1
-                if self._ledger is not None:
-                    self._ledger.add("governor.throttled", 1)
-                while self._outstanding.get(tenant, 0) > cap:
-                    if budget is not None and (budget.cancelled or budget.expired):
-                        return
-                    remaining = deadline - self._clock.now()
-                    if remaining <= 0 or not self._clock.wait_on(
-                        self._cond, remaining
-                    ):
-                        self.forced_through += 1
-                        return
-        finally:
-            if dispose is not None:
-                dispose()

@@ -43,7 +43,6 @@ class SpillableBuffer:
         capacity_bytes: int,
         spill_path: str | None = None,
         ledger=None,  # CostLedger | None — counts stream.spill_enospc events
-        governor=None,
         tenant: str = "default",
         budget=None,
         clock=None,  # repro.sim.clock.Clock | None — read-wait timing
@@ -58,13 +57,6 @@ class SpillableBuffer:
         self._budget = budget
         if budget is not None:
             budget.on_cancel(self.cancel)
-        # Multi-tenant backpressure isolation: outstanding spill bytes are
-        # charged to a SpillGovernor per tenant; the *sender* consults it
-        # (before put) so an over-budget tenant throttles itself while other
-        # tenants' buffers stay untouched.  Charge/credit only ever touch the
-        # governor's own lock, so calling them under this buffer's lock is
-        # deadlock-free.
-        self._governor = governor
         self._tenant = tenant
         self._memory: deque[bytes] = deque()
         self._memory_bytes = 0
@@ -82,7 +74,6 @@ class SpillableBuffer:
         self._lock = threading.Lock()
         self._readable = threading.Condition(self._lock)
         self.spilled_bytes = 0
-        self._governed = 0  # spilled bytes charged to the governor, not yet credited
 
     # ---------------------------------------------------------------- write
 
@@ -134,9 +125,6 @@ class SpillableBuffer:
             self._closed = True
             self._memory.clear()
             self._memory_bytes = 0
-            if self._governor is not None and self._governed:
-                self._governor.credit(self._tenant, self._governed)
-                self._governed = 0
             self._overflow.clear()
             self._spill_pending = 0
             self._file_pending = 0
@@ -219,9 +207,6 @@ class SpillableBuffer:
 
     def _spill(self, item: bytes) -> None:
         self.spilled_bytes += len(item)
-        if self._governor is not None:
-            self._governor.charge(self._tenant, len(item))
-            self._governed += len(item)
         if self._spill_path is not None and not self._spill_failed:
             try:
                 if self._injector is not None:
@@ -260,9 +245,6 @@ class SpillableBuffer:
             self._memory.append(item)
             self._memory_bytes += len(item)
             self._spill_pending -= 1
-            if self._governor is not None:
-                self._governor.credit(self._tenant, len(item))
-                self._governed = max(self._governed - len(item), 0)
         if self._file_pending == 0 and self._spill_file is not None:
             path = self._spill_file.name
             self._spill_file.close()

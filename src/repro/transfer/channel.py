@@ -35,7 +35,7 @@ class StreamChannel:
 
     The channel owns everything that is the same on every transport — frame
     encoding, byte accounting (``stream.sent``/``net``/``retry``/``spilled``),
-    the tenant's governor throttle, §6 sequence dedup, pending rows — and
+    §6 sequence dedup, pending rows — and
     moves the frames through a byte *pipe*: a
     :class:`~repro.transfer.buffers.SpillableBuffer` (the default, whose
     capacity plays both buffer roles; the paper sets both to the same 4 KB
@@ -55,21 +55,10 @@ class StreamChannel:
         pipe=None,
         ledger: CostLedger | None = None,
         local: bool = False,
-        governor=None,
-        tenant: str = "default",
-        budget=None,
     ):
         self.channel_id = channel_id
         self.local = local
         self._ledger = ledger
-        # Backpressure isolation (multi-tenant deployments only): senders
-        # consult the tenant's SpillGovernor *before* enqueueing, so a tenant
-        # whose spill is over budget pauses its own producers while every
-        # other tenant's channels keep flowing.  governor=None (the default)
-        # is zero extra work per send.
-        self._governor = governor
-        self._tenant = tenant
-        self._budget = budget  # governor pauses observe its cancel flag
         self._pipe = pipe if pipe is not None else SpillableBuffer(DEFAULT_BUFFER_BYTES)
         self.rows_sent = 0
         self.bytes_sent = 0
@@ -107,8 +96,6 @@ class StreamChannel:
             seq = self._next_seq
         self._next_seq = seq + 1
         payload = encode_block(block, seq)
-        if self._governor is not None:
-            self._governor.throttle(self._tenant, budget=self._budget)
         spilled = self._pipe.put(payload)
         _kind, _seq, logical = frame_header(payload)
         ledger = self._ledger

@@ -28,6 +28,7 @@ from repro.transfer.channel import DEFAULT_BUFFER_BYTES, ChannelId, StreamChanne
 from repro.transfer.socket_channel import MuxPipe, MuxSocketTransport
 
 DEFAULT_BATCH_ROWS = 256  # rows per frame of a row stream
+DEFAULT_K = 6  # ML readers per SQL worker when ``stream.k`` is unset
 DEFAULT_TIMEOUT_S = 30.0
 
 
@@ -93,20 +94,17 @@ class Coordinator:
         self,
         cluster: Cluster,
         launcher: Callable[["StreamSession"], Any] | None = None,
-        default_k: int = 6,
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
         batch_rows: int = DEFAULT_BATCH_ROWS,
         spill_dir: str | None = None,
         timeout_s: float = DEFAULT_TIMEOUT_S,
         transport: str = "memory",
-        state_store=None,  # CoordinatorStateStore | None (§6 resilience)
         recovery=None,  # RecoveryManager | None — installs §6 recovery
         fault_injector=None,  # FaultInjector | None — convenience wiring
         coordinator_id: str = "coordinator-0",  # HA replica identity
         channel_registry=None,  # ChannelRegistry | None (HA data plane)
         admission=None,  # SessionAdmission | None — multi-tenant quota gate
         worker_pool=None,  # WorkerPoolScheduler | None — shared ML slots
-        spill_governor=None,  # SpillGovernor | None — per-tenant spill budgets
         retry_budget=None,  # RetryTokenBucket | None — shared retry cap
         default_deadline_s: float | None = None,  # deadline for new sessions
         clock=None,  # repro.sim.clock.Clock | None — coordinator time source
@@ -118,13 +116,13 @@ class Coordinator:
         self.clock = clock or WALL
         self.cluster = cluster
         self.launcher = launcher
-        self.default_k = default_k
+        self.default_k = DEFAULT_K
         self.buffer_bytes = buffer_bytes
         self.batch_rows = batch_rows
         self.spill_dir = spill_dir
         self.timeout_s = timeout_s
         self.transport = transport
-        self.state_store = state_store
+        self.state_store = None  # the fenced journal, bound by become_leader
         if recovery is None and fault_injector is not None:
             from repro.faults.recovery import RecoveryManager
 
@@ -149,10 +147,9 @@ class Coordinator:
         self.channel_registry = channel_registry
         #: multi-tenant serving (all None by default = seed single-session
         #: behavior; shared across replicas under HA like the recovery
-        #: manager, so a takeover keeps the same quota/slot/budget state)
+        #: manager, so a takeover keeps the same quota/slot state)
         self.admission = admission
         self.worker_pool = worker_pool
-        self.spill_governor = spill_governor
         #: overload protection (None by default = seed behavior): a shared
         #: retry-token bucket carried on every session budget, and a default
         #: per-session deadline applied when create_session names none
@@ -366,7 +363,7 @@ class Coordinator:
         the HA retry re-issuing this call never double-charges a quota.
 
         ``deadline_s`` arms the session's end-to-end :class:`Budget`: every
-        later blocking wait (admission queue, worker-slot, governor pause,
+        later blocking wait (admission queue, worker-slot,
         channel receive, broker fetch, result wait) derives its timeout from
         the budget's remaining time and raises the typed, non-retryable
         :class:`~repro.common.errors.DeadlineExceeded` when it runs out —
@@ -509,7 +506,7 @@ class Coordinator:
 
         Order matters: the budget's cancel flag flips first (waking every
         blocked wait that derives from it — admission queue, worker slots,
-        governor pauses, buffer reads), then a CANCEL control frame goes out
+        buffer reads), then a CANCEL control frame goes out
         on each mux channel so remote receivers stop at their next frame
         boundary, then the session is marked failed with a typed
         :class:`SessionCancelled` — unless a real outcome already landed
@@ -694,8 +691,6 @@ class Coordinator:
                         # each channel is a tag on it.
                         pipe = MuxPipe(
                             self._mux_transport_for(worker_id, session),
-                            governor=self.spill_governor,
-                            tenant=session.tenant,
                             budget=session.budget,
                         )
                     else:
@@ -703,7 +698,6 @@ class Coordinator:
                             capacity_bytes=session.buffer_bytes,
                             spill_path=spill_path,
                             ledger=self.cluster.ledger,
-                            governor=self.spill_governor,
                             tenant=session.tenant,
                             budget=session.budget,
                             clock=self.clock,
@@ -714,9 +708,6 @@ class Coordinator:
                         pipe,
                         ledger=self.cluster.ledger,
                         local=local,
-                        governor=self.spill_governor,
-                        tenant=session.tenant,
-                        budget=session.budget,
                     )
                     group.append(cid)
                     channel_ids.append(cid)

@@ -51,6 +51,7 @@ from repro.sim.clock import WALL
 from repro.transfer.coordinator import (
     DEFAULT_BATCH_ROWS,
     DEFAULT_BUFFER_BYTES,
+    DEFAULT_K,
     DEFAULT_TIMEOUT_S,
     Coordinator,
 )
@@ -94,21 +95,16 @@ class CoordinatorHAGroup:
     def __init__(
         self,
         cluster,
-        zk: ZooKeeperLite | None = None,
         standbys: int = 1,
         launcher=None,
-        default_k: int = 6,
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
         batch_rows: int = DEFAULT_BATCH_ROWS,
-        spill_dir: str | None = None,
         timeout_s: float = DEFAULT_TIMEOUT_S,
         transport: str = "memory",
         recovery=None,
         fault_injector=None,
-        failover_retry: RetryPolicy | None = None,
         admission=None,  # SessionAdmission | None — shared across replicas
         worker_pool=None,  # WorkerPoolScheduler | None — shared across replicas
-        spill_governor=None,  # SpillGovernor | None — shared across replicas
         retry_budget=None,  # RetryTokenBucket | None — shared across replicas
         default_deadline_s=None,  # float | None — default session deadline
         clock=None,  # repro.sim.clock.Clock | None — group-wide time source
@@ -117,7 +113,7 @@ class CoordinatorHAGroup:
             raise TransferError("a HA group needs at least one standby")
         self.clock = clock or WALL
         self.cluster = cluster
-        self.zk = zk or ZooKeeperLite()
+        self.zk = ZooKeeperLite()
         self.zk.ensure_path("/coordinators")
         if not self.zk.exists(EPOCH_PATH):
             self.zk.create(EPOCH_PATH, b"0")
@@ -127,19 +123,17 @@ class CoordinatorHAGroup:
         #: restart budgets survive takeovers (in production this state would
         #: ride the journal; sharing the manager models the same guarantee).
         self.recovery = recovery
-        #: same sharing argument for the multi-tenant trio: quota occupancy,
-        #: worker-slot leases, and spill budgets are cluster facts, not
-        #: leader-process facts — one object each, every replica wired to it.
+        #: same sharing argument for the multi-tenant pair: quota occupancy
+        #: and worker-slot leases are cluster facts, not leader-process
+        #: facts — one object each, every replica wired to it.
         self.admission = admission
         self.worker_pool = worker_pool
-        self.spill_governor = spill_governor
         #: retry budgets are a deployment-wide allowance, like quotas.
         self.retry_budget = retry_budget
         self.default_deadline_s = default_deadline_s
-        self.default_k = default_k
+        self.default_k = DEFAULT_K
         self.buffer_bytes = buffer_bytes
         self.batch_rows = batch_rows
-        self.spill_dir = spill_dir
         self.timeout_s = timeout_s
         self.transport = transport
         self.registry = ChannelRegistry()
@@ -158,10 +152,8 @@ class CoordinatorHAGroup:
             replica = Coordinator(
                 cluster,
                 launcher=launcher,
-                default_k=default_k,
                 buffer_bytes=buffer_bytes,
                 batch_rows=batch_rows,
-                spill_dir=spill_dir,
                 timeout_s=timeout_s,
                 transport=transport,
                 recovery=self.recovery,
@@ -169,7 +161,6 @@ class CoordinatorHAGroup:
                 channel_registry=self.registry,
                 admission=admission,
                 worker_pool=worker_pool,
-                spill_governor=spill_governor,
                 retry_budget=retry_budget,
                 default_deadline_s=default_deadline_s,
                 clock=self.clock,
@@ -180,7 +171,7 @@ class CoordinatorHAGroup:
             # so a takeover keeps in-flight tagged streams attached.
             replica._mux_transports = self._mux_transports
             self.coordinators.append(replica)
-        self.proxy = FailoverCoordinator(self, retry_policy=failover_retry)
+        self.proxy = FailoverCoordinator(self)
         self._elect(self.coordinators[0])
 
     # ----------------------------------------------------------- membership
@@ -206,10 +197,6 @@ class CoordinatorHAGroup:
             if replica.coordinator_id == leader_id and replica.alive:
                 return replica
         return None
-
-    def current_epoch(self) -> int:
-        data, _v = self.zk.get(EPOCH_PATH)
-        return int(data or b"0")
 
     def await_leader(
         self, timeout: float | None = None, budget=None
@@ -400,9 +387,9 @@ class FailoverCoordinator:
     form of each handshake, so convergence never double-registers.
     """
 
-    def __init__(self, group: CoordinatorHAGroup, retry_policy: RetryPolicy | None = None):
+    def __init__(self, group: CoordinatorHAGroup):
         self._group = group
-        self._retry = retry_policy or RetryPolicy(
+        self._retry = RetryPolicy(
             max_attempts=8, base_delay_s=0.002, max_delay_s=0.05
         )
 
@@ -444,10 +431,6 @@ class FailoverCoordinator:
     @property
     def worker_pool(self):
         return self._group.worker_pool
-
-    @property
-    def spill_governor(self):
-        return self._group.spill_governor
 
     @property
     def retry_budget(self):

@@ -89,7 +89,6 @@ class MuxSocketTransport:
         self._control: deque[bytes] = deque()
         self._wire_remainder = b""
         self._wire_tag: int | None = None
-        self._tag_governor: dict[int, tuple] = {}
         self._closed_tags: set[int] = set()
         self._transport_closed = False
         #: Notified whenever the wire may have drained (the receive pump
@@ -110,13 +109,11 @@ class MuxSocketTransport:
 
     # ----------------------------------------------------------- tag admin
 
-    def new_tag(self, governor=None, tenant: str = "default") -> int:
-        """Allocate a fresh stream tag (optionally governed for the tenant)."""
+    def new_tag(self) -> int:
+        """Allocate a fresh stream tag."""
         tag = next(self._tag_ids)
         with self._send_lock:
             self._overflow[tag] = deque()
-            if governor is not None:
-                self._tag_governor[tag] = (governor, tenant)
         return tag
 
     # ------------------------------------------------------------ send side
@@ -135,25 +132,13 @@ class MuxSocketTransport:
             ):
                 # FIFO per tag, and no overtaking a blocked wire: queue it.
                 queue.append(frame)
-                self._charge(tag, len(frame))
                 return len(frame)
             sent = self._try_send(frame)
             if sent < len(frame):
                 self._wire_remainder = frame[sent:]
                 self._wire_tag = tag
-                self._charge(tag, len(frame) - sent)
                 return len(frame) - sent
             return 0
-
-    def _charge(self, tag: int, nbytes: int) -> None:
-        governed = self._tag_governor.get(tag)
-        if governed is not None and nbytes > 0:
-            governed[0].charge(governed[1], nbytes)
-
-    def _credit(self, tag: int, nbytes: int) -> None:
-        governed = self._tag_governor.get(tag)
-        if governed is not None and nbytes > 0:
-            governed[0].credit(governed[1], nbytes)
 
     def _try_send(self, data: bytes) -> int:
         try:
@@ -166,7 +151,6 @@ class MuxSocketTransport:
         while True:
             if self._wire_remainder:
                 sent = self._try_send(self._wire_remainder)
-                self._credit(self._wire_tag, sent)
                 if sent < len(self._wire_remainder):
                     self._wire_remainder = self._wire_remainder[sent:]
                     return
@@ -195,7 +179,6 @@ class MuxSocketTransport:
                     continue
                 frame = queue[0]
                 sent = self._try_send(frame)
-                self._credit(tag, sent)
                 if sent == len(frame):
                     queue.popleft()
                     progressed = True
@@ -248,7 +231,6 @@ class MuxSocketTransport:
         with self._send_lock:
             queue = self._overflow.get(tag)
             if queue:
-                self._credit(tag, sum(len(f) for f in queue))
                 queue.clear()
             self._closed_tags.add(tag)
         self._send_control(tag, _ABORT, reason)
@@ -281,7 +263,6 @@ class MuxSocketTransport:
                 return
             self._closed_tags.add(tag)
             self._overflow.setdefault(tag, deque()).append(eof)
-            self._charge(tag, len(eof))
         deadline = self._clock.now() + self._send_timeout_s
         dispose = (
             budget.on_cancel(self._notify_drain) if budget is not None else None
@@ -317,11 +298,8 @@ class MuxSocketTransport:
         """Drop the tag's state on both sides (session teardown: unread
         frames are discarded, other tags are untouched)."""
         with self._send_lock:
-            queue = self._overflow.pop(tag, None)
-            if queue:
-                self._credit(tag, sum(len(f) for f in queue))
+            self._overflow.pop(tag, None)
             self._closed_tags.add(tag)
-            self._tag_governor.pop(tag, None)
         with self._recv_cond:
             self._released.add(tag)
             self._frames.pop(tag, None)
@@ -448,13 +426,11 @@ class MuxPipe:
     def __init__(
         self,
         transport: MuxSocketTransport,
-        governor=None,  # SpillGovernor | None — charged for queued bytes
-        tenant: str = "default",
         budget=None,  # Budget | None — bounds receives and the close flush
     ):
         self._transport = transport
         self._budget = budget
-        self._tag = transport.new_tag(governor=governor, tenant=tenant)
+        self._tag = transport.new_tag()
 
     def put(self, payload: bytes) -> int:
         return self._transport.send(self._tag, payload)

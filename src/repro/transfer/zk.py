@@ -330,13 +330,6 @@ class CoordinatorStateStore:
         carry tenant and status) rather than from this znode."""
         self._write(self.ADMISSION_PATH, json.dumps(state, sort_keys=True).encode())
 
-    def admission_view(self) -> dict:
-        """The last journaled admission transition ({} when never written)."""
-        if not self.zk.exists(self.ADMISSION_PATH):
-            return {}
-        data, _v = self.zk.get(self.ADMISSION_PATH)
-        return json.loads(data.decode())
-
     # ------------------------------------------------------------- reading
 
     def sessions(self) -> list[str]:

@@ -91,15 +91,6 @@ class RecodeMap:
                 rows.append((name, value, code))
         return rows
 
-    @staticmethod
-    def table_schema() -> Schema:
-        """Schema of :meth:`as_table_rows`."""
-        return Schema.of(
-            ("colName", DataType.VARCHAR),
-            ("colVal", DataType.VARCHAR),
-            ("recodeVal", DataType.INT),
-        )
-
 
 class LocalDistinctUDF(TableUDF):
     """Phase-1 table UDF: local distincts of every listed column, one scan.

@@ -33,7 +33,3 @@ class TransformService:
                 f"{sorted(self._maps)}"
             )
         return recode_map
-
-    def handles(self) -> list[str]:
-        with self._lock:
-            return sorted(self._maps)

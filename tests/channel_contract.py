@@ -38,7 +38,7 @@ class ChannelContract:
 
     def channel(self, buffer_bytes=65536, budget=None, **kwargs) -> StreamChannel:
         pipe = self.make_pipe(buffer_bytes, budget)
-        return StreamChannel(ChannelId(0, 0), pipe, budget=budget, **kwargs)
+        return StreamChannel(ChannelId(0, 0), pipe, **kwargs)
 
     @staticmethod
     def pump(channel, blocks) -> list[tuple]:

@@ -41,7 +41,8 @@ class TestTopics:
     def test_delete(self, broker):
         broker.create_topic("t", 1)
         broker.delete_topic("t")
-        assert not broker.topic_exists("t")
+        with pytest.raises(TransferError, match="unknown topic"):
+            broker.topic_info("t")
         with pytest.raises(TransferError):
             broker.delete_topic("t")
 

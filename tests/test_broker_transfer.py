@@ -4,6 +4,7 @@ import pytest
 
 from repro import make_deployment
 from repro.broker.inputformat import BrokerInputFormat
+from repro.common.errors import TransferError
 from repro.iofmt.inputformat import JobConf
 from repro.workloads import generate_retail
 
@@ -42,7 +43,8 @@ class TestBrokerPipeline:
             "consume+input",
             "ml train",
         ]
-        assert not deployment.broker.topic_exists(result.broker_topic)
+        with pytest.raises(TransferError, match="unknown topic"):
+            deployment.broker.topic_info(result.broker_topic)
 
     def test_keep_topic_retains_data(self, retail):
         deployment, wl = retail

@@ -87,8 +87,6 @@ class TestStore:
         store.save("job_b", dict(STATE, iteration=9))
         assert store.load_latest("job_a")[0]["iteration"] == 1
         assert store.load_latest("job_b")[0]["iteration"] == 9
-        store.delete_job("job_a")
-        assert store.load_latest("job_a") is None
         assert store.versions("job_b") == [1]
 
     def test_load_latest_falls_back_past_corrupt_newest(self, dfs):
@@ -144,15 +142,6 @@ class TestStore:
         assert cluster.ledger.get("checkpoint.read") > 0
         assert store.bytes_written == cluster.ledger.get("checkpoint.write")
         assert store.bytes_read == cluster.ledger.get("checkpoint.read")
-
-    def test_export_returns_committed_blobs(self, dfs):
-        store = make_store(dfs)
-        store.save("job1", dict(STATE, iteration=1))
-        store.save("job1", dict(STATE, iteration=2))
-        blobs = store.export("job1")
-        assert sorted(blobs) == ["ckpt-000001.bin", "ckpt-000002.bin"]
-        assert decode_checkpoint(blobs["ckpt-000002.bin"])["iteration"] == 2
-
 
 class TestTrainCheckpointer:
     def test_interval_gates_saves(self, dfs):

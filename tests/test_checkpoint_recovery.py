@@ -68,7 +68,9 @@ def dump_artifacts(name, injector=None, store=None, job_id=None):
     if store is not None and job_id is not None:
         ckpt_dir = root / "checkpoints"
         ckpt_dir.mkdir(exist_ok=True)
-        for fname, blob in store.export(job_id).items():
+        for version in store.versions(job_id):
+            fname = f"ckpt-{version:06d}.bin"
+            blob = store.dfs.read_bytes(f"{store.base_dir}/{job_id}/{fname}")
             (ckpt_dir / fname).write_bytes(blob)
 
 

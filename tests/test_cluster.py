@@ -5,15 +5,8 @@ import threading
 import pytest
 
 from repro.cluster.cluster import Cluster, make_paper_cluster
-from repro.cluster.cost import (
-    CostLedger,
-    CostModel,
-    StageCost,
-    paper_cost_model,
-    pipelined,
-    sequential,
-)
-from repro.cluster.node import Disk, Node
+from repro.cluster.cost import CostLedger, CostModel, paper_cost_model
+from repro.cluster.node import Node
 
 
 class TestTopology:
@@ -29,17 +22,6 @@ class TestTopology:
         cluster = make_paper_cluster(8)
         ips = [n.ip for n in cluster.nodes]
         assert len(set(ips)) == len(ips)
-
-    def test_node_lookup(self):
-        cluster = make_paper_cluster()
-        node = cluster.workers[2]
-        assert cluster.node_by_ip(node.ip) is node
-        assert cluster.node_by_id(node.node_id) is node
-
-    def test_unknown_ip_raises(self):
-        cluster = make_paper_cluster()
-        with pytest.raises(KeyError):
-            cluster.node_by_ip("1.2.3.4")
 
     def test_locality(self):
         cluster = make_paper_cluster()
@@ -60,11 +42,6 @@ class TestTopology:
         nodes = [Node(1, "a", "10.0.0.1"), Node(2, "b", "10.0.0.1")]
         with pytest.raises(ValueError):
             Cluster(nodes)
-
-    def test_disk_aggregate_bandwidth(self):
-        node = Node(0, "n", "10.0.0.9", disks=(Disk(100.0, 50.0), Disk(200.0, 70.0)))
-        assert node.disk_read_bps == 300.0
-        assert node.disk_write_bps == 120.0
 
 
 class TestCostLedger:
@@ -138,30 +115,3 @@ class TestCostModel:
     def test_custom_model_overrides(self):
         cost = CostModel(sql_scan_bps=1e9)
         assert cost.sql_scan_time(1e9) == 1.0
-
-
-class TestStageComposition:
-    def test_sequential_sums(self):
-        combined = sequential(
-            "s", [StageCost("a", 10.0), StageCost("b", 5.0), StageCost("c", 2.5)]
-        )
-        assert combined.seconds == 17.5
-
-    def test_pipelined_takes_bottleneck(self):
-        combined = pipelined("p", [StageCost("a", 10.0), StageCost("b", 25.0)])
-        assert combined.seconds == 25.0
-        assert "b" in combined.detail
-
-    def test_empty_pipelined(self):
-        assert pipelined("p", []).seconds == 0.0
-
-    def test_sequential_carries_boundary_bytes(self):
-        combined = sequential(
-            "s",
-            [
-                StageCost("a", 1.0, bytes_in=100, bytes_out=50),
-                StageCost("b", 1.0, bytes_in=50, bytes_out=10),
-            ],
-        )
-        assert combined.bytes_in == 100
-        assert combined.bytes_out == 10

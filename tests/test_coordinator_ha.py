@@ -99,7 +99,7 @@ class TestLeaderElection:
         group = make_group(standbys=2)
         assert group.zk.exists(LEADER_PATH)
         assert group.leader_id() == "coordinator-0"
-        assert group.current_epoch() == 1
+        assert group.leader().fencing_epoch == 1
         assert group.leader() is group.coordinators[0]
         assert group.failovers == 0
 
@@ -109,7 +109,7 @@ class TestLeaderElection:
         # ZooKeeperLite delivers watches on the mutating call, so by the
         # time kill_leader() returns the next standby already leads.
         assert group.leader_id() == "coordinator-1"
-        assert group.current_epoch() == 2
+        assert group.leader().fencing_epoch == 2
         assert group.failovers == 1
         assert group.cluster.ledger.get("coordinator.failover") == 1
 
@@ -378,7 +378,7 @@ class TestLivenessMonitor:
         assert monitor.sweep(now=1.0) == []  # fresh beat: nothing to do
         actions = monitor.sweep(now=10.0)  # stale: proactive restart plan
         assert [a["worker_id"] for a in actions] == [0]
-        assert recovery.monitor_actions()[0]["sql_worker_id"] == 0
+        assert [e.sql_worker_id for e in recovery.restart_events] == [0]
         session = coordinator.session("s")
         assert "liveness monitor" in session.recovery_log[-1]["reason"]
         # A still-stale worker is not restarted repeatedly ...

@@ -1,7 +1,7 @@
 """End-to-end deadlines and cooperative cancellation across the serving plane.
 
 Covers the waits-and-wakes contract: every gate (admission, scheduler,
-governor, mux transport, result wait) derives its timeout from the session
+mux transport, result wait) derives its timeout from the session
 budget and is *woken* — not timed out — by a cancel; shedding and expiry
 surface as the typed non-retryable errors; the trainer aborts only after
 committing its last due checkpoint; and with the feature disarmed, the
@@ -21,12 +21,10 @@ from repro.common.errors import (
     AdmissionError,
     DeadlineExceeded,
     SessionCancelled,
-    TransferError,
 )
 from repro.runtime.budget import Budget
 from repro.transfer.admission import (
     SessionAdmission,
-    SpillGovernor,
     WorkerPoolScheduler,
 )
 from repro.transfer.socket_channel import MuxSocketTransport
@@ -195,7 +193,7 @@ class TestAdmissionBudgets:
 
 
 # --------------------------------------------------------------------------
-# Scheduler + governor: cancel WAKES blocked waiters (satellite: wakeups)
+# Scheduler: cancel WAKES blocked waiters (satellite: wakeups)
 # --------------------------------------------------------------------------
 
 
@@ -224,36 +222,6 @@ class TestCancelWakesWaiters:
         # The cancelled waiter left no residue: the slot still grants.
         pool.release_slot("holder")
         pool.acquire_slot("next")
-
-    def test_governor_throttle_released_by_cancel(self):
-        governor = SpillGovernor(tenant_budgets={"a": 10}, timeout_s=30.0)
-        governor.charge("a", 100)
-        budget = Budget(session_id="s")
-        done = threading.Event()
-
-        def throttled_sender():
-            governor.throttle("a", budget=budget)
-            done.set()
-
-        t = threading.Thread(target=throttled_sender)
-        t.start()
-        _spin_until(lambda: governor.throttled == 1)
-        start = perf_counter()
-        budget.cancel()
-        assert done.wait(5.0)
-        t.join(5.0)
-        # Released by the wake, not the 30s bound (and never by force).
-        assert perf_counter() - start < WAKE_BOUND_S
-        assert governor.forced_through == 0
-
-    def test_already_cancelled_budget_skips_throttle_entirely(self):
-        governor = SpillGovernor(tenant_budgets={"a": 10}, timeout_s=30.0)
-        governor.charge("a", 100)
-        budget = Budget(session_id="s")
-        budget.cancel()
-        start = perf_counter()
-        governor.throttle("a", budget=budget)
-        assert perf_counter() - start < 0.1
 
 
 # --------------------------------------------------------------------------

@@ -227,10 +227,9 @@ class TestRecoveryManager:
                 return {"restart_sql_worker": worker_id, "restart_ml_workers": [7, 8]}
 
         coordinator = FakeCoordinator()
-        for attempt in (1, 2):
+        for _ in range(2):
             plan = recovery.begin_partial_restart(coordinator, "s", 1, "kill")
             assert plan["restart_ml_workers"] == [7, 8]
-            assert recovery.restarts_of("s", 1) == attempt
         with pytest.raises(RetriesExhaustedError, match="budget"):
             recovery.begin_partial_restart(coordinator, "s", 1, "kill")
         assert [e.attempt for e in recovery.restart_events] == [1, 2]

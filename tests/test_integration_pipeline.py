@@ -201,3 +201,19 @@ class TestModelsTrainEndToEnd:
         labels = {lp.label for lp in result.ml_result.dataset.collect()}
         assert labels <= {0.0, 1.0}
         assert result.ml_result.model.weights.shape == (4,)
+
+
+class TestSteadyState:
+    def test_naive_ops_leave_the_dfs_file_count_unchanged(self):
+        """``run_naive``'s prep, Jaql-distinct and transformed parts are
+        op-scoped: after 20 ops the DFS holds what it held after setup."""
+        deployment = make_deployment(block_size=64 * 1024)
+        wl = generate_retail(
+            deployment.engine, deployment.dfs, num_users=40, num_carts=200, seed=3
+        )
+        files_after_setup = len(deployment.dfs.list_files("/"))
+        for _ in range(20):
+            result = deployment.pipeline.run_naive(wl.prep_sql, wl.spec, "noop")
+            assert result.ml_result.dataset.count() > 0
+        assert len(deployment.dfs.list_files("/")) == files_after_setup
+        assert deployment.dfs.listdir("/pipeline") == []

@@ -23,12 +23,6 @@ class TestDataset:
         out = ds.map(lambda x: x * 2).filter(lambda x: x > 10)
         assert sorted(out.collect()) == [12, 14, 16, 18]
 
-    def test_map_partitions(self):
-        ds = Dataset.from_records(range(9), 3)
-        sums = ds.map_partitions(lambda p: [sum(p)])
-        assert sums.count() == 3
-        assert sum(sums.collect()) == sum(range(9))
-
     def test_sample_deterministic(self):
         ds = Dataset.from_records(range(1000), 4)
         a = ds.sample(0.3, seed=5).collect()

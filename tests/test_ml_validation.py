@@ -1,19 +1,12 @@
-"""Validation utilities: splits, folds, cross-validation."""
+"""Validation utilities: held-out splits and evaluation."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import MLError
 from repro.ml.algorithms import LogisticRegressionWithSGD
 from repro.ml.dataset import Dataset, LabeledPoint
-from repro.ml.validation import (
-    cross_validate,
-    evaluate_classifier,
-    k_folds,
-    mean_accuracy,
-    train_test_split,
-)
+from repro.ml.validation import evaluate_classifier, train_test_split
 
 
 def make_dataset(n=200, seed=0):
@@ -66,23 +59,6 @@ class TestTrainTestSplit:
             train_test_split(make_dataset(), 1.0)
 
 
-class TestKFolds:
-    @settings(max_examples=15, deadline=None)
-    @given(k=st.integers(2, 6), n=st.integers(20, 120))
-    def test_every_record_in_exactly_one_validation_fold(self, k, n):
-        ds = make_dataset(n=n, seed=n)
-        folds = k_folds(ds, k, seed=1)
-        assert len(folds) == k
-        total_validation = sum(v.count() for _t, v in folds)
-        assert total_validation == ds.count()
-        for train, validation in folds:
-            assert train.count() + validation.count() == ds.count()
-
-    def test_k1_rejected(self):
-        with pytest.raises(MLError):
-            k_folds(make_dataset(), 1)
-
-
 class TestEvaluation:
     def test_evaluate_separable(self):
         ds = separable_dataset()
@@ -97,18 +73,3 @@ class TestEvaluation:
         model = LogisticRegressionWithSGD.train(separable_dataset(), iterations=5)
         with pytest.raises(MLError):
             evaluate_classifier(model, Dataset([[]]))
-
-    def test_cross_validate(self):
-        ds = separable_dataset()
-        results = cross_validate(
-            ds,
-            trainer=lambda train: LogisticRegressionWithSGD.train(train, iterations=40),
-            k=4,
-            seed=3,
-        )
-        assert len(results) == 4
-        assert mean_accuracy(results) > 0.9
-
-    def test_mean_accuracy_empty(self):
-        with pytest.raises(MLError):
-            mean_accuracy([])

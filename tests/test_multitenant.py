@@ -10,7 +10,6 @@ from repro.common.errors import AdmissionError
 from repro.faults import FaultConfig, FaultInjector
 from repro.transfer.admission import (
     SessionAdmission,
-    SpillGovernor,
     WorkerPoolScheduler,
 )
 from repro.transfer.socket_channel import MuxPipe
@@ -165,48 +164,6 @@ class TestWorkerPoolScheduler:
 
 
 # --------------------------------------------------------------------------
-# SpillGovernor units: backpressure isolation
-# --------------------------------------------------------------------------
-
-
-class TestSpillGovernor:
-    def test_over_budget_tenant_throttles_only_itself(self):
-        governor = SpillGovernor(tenant_budgets={"a": 100, "b": 100}, timeout_s=5.0)
-        governor.charge("a", 150)
-
-        # Tenant b is under budget: throttle returns immediately.
-        start = time.perf_counter()
-        governor.throttle("b")
-        assert time.perf_counter() - start < 0.05
-        assert governor.throttled == 0
-
-        # Tenant a's sender pauses until a's own reader drains the spill.
-        def drain():
-            time.sleep(0.05)
-            governor.credit("a", 100)
-
-        t = threading.Thread(target=drain)
-        t.start()
-        governor.throttle("a")
-        t.join()
-        assert governor.throttled == 1
-        assert governor.forced_through == 0
-        assert governor.outstanding("a") == 50
-
-    def test_throttle_bound_forces_through(self):
-        governor = SpillGovernor(tenant_budgets={"a": 10}, timeout_s=0.05)
-        governor.charge("a", 50)
-        governor.throttle("a")  # nobody credits: bounded wait, then proceed
-        assert governor.forced_through == 1
-
-    def test_unbudgeted_tenant_never_touched(self):
-        governor = SpillGovernor(tenant_budgets={"a": 10})
-        governor.charge("other", 10**9)
-        governor.throttle("other")
-        assert governor.throttled == 0
-
-
-# --------------------------------------------------------------------------
 # End-to-end: interleaved sessions over one deployment
 # --------------------------------------------------------------------------
 
@@ -346,7 +303,7 @@ class TestMultitenantServing:
         run_one_session(plain, "solo0", seed=BASE_SEED)
         snapshot = plain.cluster.ledger.snapshot()
         for key in snapshot:
-            assert not key.startswith(("admission.", "scheduler.", "governor."))
+            assert not key.startswith(("admission.", "scheduler."))
 
         # Same single-session workload under an admission cap: the stream
         # byte ledgers (what Figures 3/4 report) are untouched.

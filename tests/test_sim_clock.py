@@ -27,7 +27,6 @@ from repro.runtime.budget import Budget
 from repro.sim import WALL, VirtualClock, VirtualTimeExhausted
 from repro.transfer.admission import (
     SessionAdmission,
-    SpillGovernor,
     WorkerPoolScheduler,
 )
 from repro.workloads.loadgen import BASE_SEED, make_points_table, run_one_session
@@ -295,39 +294,6 @@ class TestVirtualDeadlineCancelPort:
         # The cancelled waiter left no residue: the slot still grants.
         pool.release_slot("holder")
         pool.acquire_slot("next")
-
-    def test_governor_throttle_released_by_cancel(self):
-        clock = VirtualClock()
-        governor = SpillGovernor(tenant_budgets={"a": 10}, timeout_s=600.0, clock=clock)
-        governor.charge("a", 100)
-        budget = Budget(session_id="s", clock=clock)
-        released: list[float] = []
-
-        def throttled_sender() -> None:
-            governor.throttle("a", budget=budget)
-            released.append(clock.now())
-
-        def canceller() -> None:
-            clock.sleep(2.0)
-            budget.cancel()
-
-        def parent() -> None:
-            threads = [
-                clock.spawn(throttled_sender, name="throttled"),
-                clock.spawn(canceller, name="canceller"),
-            ]
-            with clock.unmanaged():
-                for t in threads:
-                    t.join(30.0)
-
-        pt = clock.spawn(parent, name="parent")
-        pt.join(30.0)
-        assert not pt.is_alive()
-        # Released by the wake at ~2 virtual seconds, not the 600s bound
-        # (and never by force).
-        assert len(released) == 1
-        assert 2.0 <= released[0] <= 3.0
-        assert governor.forced_through == 0
 
     def test_wait_result_bounded_by_budget_not_stacked_timeouts(self):
         clock = VirtualClock()

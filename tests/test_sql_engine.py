@@ -154,7 +154,6 @@ class TestMaterializedViews:
         entry = users_carts.catalog.get_entry("v")
         assert entry.definition is not None
         assert "USA" in entry.definition.to_sql()
-        assert users_carts.catalog.materialized_views() == [entry]
 
     def test_view_joins_with_base_tables(self, users_carts):
         users_carts.create_materialized_view(

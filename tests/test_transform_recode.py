@@ -59,7 +59,6 @@ class TestRecodeMap:
         recode_map = RecodeMap.from_distinct_rows([("g", "F"), ("g", "M"), ("l", "x")])
         rows = recode_map.as_table_rows()
         assert ("g", "F", 1) in rows and ("g", "M", 2) in rows and ("l", "x", 1) in rows
-        assert len(RecodeMap.table_schema()) == 3
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -180,7 +179,12 @@ class TestJoinFormulation:
         )
 
         engine.create_materialized_view("T", PREP)
-        engine.create_table("M", RecodeMap.table_schema(), recode_map.as_table_rows())
+        map_schema = Schema.of(
+            ("colName", DataType.VARCHAR),
+            ("colVal", DataType.VARCHAR),
+            ("recodeVal", DataType.INT),
+        )
+        engine.create_table("M", map_schema, recode_map.as_table_rows())
         join_rows = engine.query_rows(
             recode_join_sql("T", "M", ["gender", "abandoned"],
                             ["age", "gender", "amount", "abandoned"])
