@@ -43,7 +43,7 @@ def test_batch_rows_ablation(benchmark):
     assert len({r.rows for r in rows}) == 1
     assert rows[0].rows > 0
     # Byte accounting is framing-invariant: every block size charges the
-    # ledger the seed's per-row framing bytes, so simulated time is
+    # ledger the rows' typed logical bytes, so simulated time is
     # identical across the sweep and only wall clock moves.
     assert len({r.streamed_bytes for r in rows}) == 1
     print()

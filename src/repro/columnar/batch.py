@@ -426,15 +426,21 @@ class ColumnBatch:
         return sizes
 
     def logical_bytes(self) -> int:
-        """Ledger-accountable size: the sum of :meth:`row_bytes`."""
-        return int(self.row_bytes().sum())
+        """Ledger-accountable size: the sum of :meth:`row_bytes`, by column."""
+        total = 2 * self.num_rows
+        for c in self.columns:
+            if c.is_object or c.dtype in (DataType.VARCHAR, DataType.BOOLEAN):
+                total += int(c.value_bytes().sum())
+            else:
+                total += 8 * len(c.valid) - 7 * (len(c.valid) - int(np.count_nonzero(c.valid)))
+        return total
 
 
 def batch_to_xy(
     batch: ColumnBatch, label_index: int | None, label_offset: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(features, labels) float64 arrays from a batch — the one ``(X, y)``
-    kernel of ML ingestion, fed by ``C`` frames, pivoted ``R`` frame blocks
+    kernel of ML ingestion, fed by ``C`` frames, pivoted broker ``R`` records
     and DFS text splits alike.
 
     The column at ``label_index`` (negative counts from the end), less
@@ -454,7 +460,7 @@ def batch_to_xy(
     y = None
     features = iter(range(X.shape[1]))
     for i, (column, col) in enumerate(zip(batch.schema, batch.columns)):
-        if not col.valid.all():
+        if np.count_nonzero(col.valid) != n:
             role = "label" if i == label_at else "feature"
             raise IngestError(f"NULL {role} in column {column.name!r} (position {i})")
         if col.is_object:

@@ -172,7 +172,8 @@ class MLJob:
 
 
 def _pivot(rows: list) -> ColumnBatch:
-    """One received block of row tuples as DOUBLE columns, pivoted once.  A
+    """One received block of row tuples (a broker ``R`` record; stream
+    channels carry ``C`` frames) as DOUBLE columns, pivoted once.  A
     value that is not an int or float (a bool, a numeric string) leaves its
     column an ``object`` one, which ``batch_to_xy`` reads with ``float()``."""
     widths = set(map(len, rows))

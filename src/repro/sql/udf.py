@@ -25,6 +25,7 @@ from typing import Any
 
 from repro.cluster.cost import CostLedger
 from repro.cluster.node import Node
+from repro.common.errors import ExecutionError
 from repro.sql.types import Schema
 
 
@@ -64,7 +65,6 @@ class TableUDF(ABC):
     def output_schema(self, input_schema: Schema, args: tuple) -> Schema:
         """The schema of the rows this UDF produces for the given input."""
 
-    @abstractmethod
     def process_partition(
         self,
         rows: Iterable[tuple],
@@ -72,7 +72,9 @@ class TableUDF(ABC):
         args: tuple,
         ctx: UdfContext,
     ) -> Iterable[tuple]:
-        """Transform one input partition into output rows."""
+        """Transform one input partition into output rows.  A UDF with only
+        :meth:`process_batch` is never handed rows (the executor re-batches)."""
+        raise ExecutionError(f"table UDF {self.name!r} has no row kernel")
 
     def process_batch(self, batch, input_schema: Schema, args: tuple, ctx: UdfContext):
         """Optional columnar kernel: consume one

@@ -18,18 +18,18 @@ The moving parts, matching Figure 2 of the paper:
    blocking when the ML side is slow — round-robin across each SQL worker's
    k channels.
 
-One frame, one channel, one send loop.  Every block — ``batch_rows`` rows
-(an ``R`` frame) or a ColumnBatch (a ``C`` frame), whichever the executor
-hands the UDF — crosses as one sequenced, length-checked frame
+One frame, one channel, one send loop.  Every stream block — up to
+``batch_rows`` rows of the SQL worker's ColumnBatch — crosses as one
+sequenced, length-checked ``C`` frame
 (:func:`~repro.transfer.buffers.encode_block`); the same encoding sits in
-spill files and broker records.  The one channel class owns framing, byte
-accounting, replay dedup and close/abort/cancel, and moves frames through a
-byte *pipe*: :class:`~repro.transfer.buffers.SpillableBuffer`
+spill files and broker records (``R`` frames of rows).  The one channel
+class owns framing, byte accounting, replay dedup and close/abort/cancel,
+and moves frames through a byte *pipe*: :class:`SpillableBuffer`
 (``transport="memory"``) or one tag of the per-SQL-worker
 :class:`~repro.transfer.socket_channel.MuxSocketTransport`
 (``transport="socket"``).  The sender's one loop — plan ``(channel, seq,
-block)`` triples, send each — takes the §6 recovery wrapper (heartbeat,
-kill site, retry, partial restart) around that same send.
+row indices)`` triples, send each block — takes the §6 recovery wrapper
+(heartbeat, kill site, retry, partial restart) around that same send.
 
 The SQL output never touches the DFS, and the whole path is accounted under
 ``stream.*`` ledger categories.
@@ -39,10 +39,9 @@ from repro.transfer.buffers import SpillableBuffer
 from repro.transfer.channel import StreamChannel
 from repro.transfer.coordinator import Coordinator, StreamSession
 from repro.transfer.sqlstream import SQLStreamInputFormat, StreamSplit
-from repro.transfer.stream_udf import ColumnarStreamTransferUDF, StreamTransferUDF
+from repro.transfer.stream_udf import StreamTransferUDF
 
 __all__ = [
-    "ColumnarStreamTransferUDF",
     "Coordinator",
     "SpillableBuffer",
     "SQLStreamInputFormat",

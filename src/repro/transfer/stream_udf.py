@@ -19,7 +19,7 @@ partition's rows round-robin across them (step 8), closes with EOF, and
 returns a one-row transfer summary.
 """
 
-from collections.abc import Iterable
+import numpy as np
 
 from repro.common.errors import (
     RetriesExhaustedError,
@@ -31,34 +31,34 @@ from repro.sql.udf import TableUDF, UdfContext
 from repro.transfer.coordinator import Coordinator
 
 
-def plan_blocks(
-    partition: Iterable[tuple], k: int, batch_rows: int
-) -> list[tuple[int, int, list[tuple]]]:
+def plan_blocks(num_rows: int, k: int, batch_rows: int) -> list[tuple[int, int, np.ndarray]]:
     """Deterministic round-robin blocking of a partition over k channels.
 
-    Returns ``(channel_index, sequence_number, rows)`` triples in send
-    order.  Row i goes to channel ``i % k``, each channel's blocks are
-    flushed when full and again at EOF, and the plan depends only on the
-    partition and the settings — so a restarted worker replaying its
-    partition produces *identical* blocks with identical per-channel
-    sequence numbers, which is what makes the receiver's dedup-by-seq
-    sound (§6).
+    Returns ``(channel_index, sequence_number, row indices)`` triples in
+    send order.  Row i goes to channel ``i % k``; block s of channel c holds
+    that channel's rows ``s * batch_rows`` up to ``(s + 1) * batch_rows``.
+    Full blocks go in the order they fill (block s of every channel before
+    block s + 1 of any), then each channel's partial block at EOF, in
+    channel order.  The plan depends only on the row count and the settings
+    — so a restarted worker replaying its partition produces *identical*
+    blocks with identical per-channel sequence numbers, which is what makes
+    the receiver's dedup-by-seq sound (§6).
     """
     batch_rows = max(batch_rows, 1)
-    pending: list[list[tuple]] = [[] for _ in range(k)]
-    next_seq = [0] * k
-    blocks: list[tuple[int, int, list[tuple]]] = []
-    for i, row in enumerate(partition):
-        target = i % k
-        batch = pending[target]
-        batch.append(row)
-        if len(batch) >= batch_rows:
-            blocks.append((target, next_seq[target], list(batch)))
-            next_seq[target] += 1
-            batch.clear()
-    for target, batch in enumerate(pending):
-        if batch:  # EOF flush of the partial batch
-            blocks.append((target, next_seq[target], list(batch)))
+    span = batch_rows * k  # global rows per full round of blocks
+    counts = [len(range(c, num_rows, k)) for c in range(k)]
+    full = [count // batch_rows for count in counts]
+    blocks = [
+        (c, s, np.arange(c + s * span, c + (s + 1) * span, k))
+        for s in range(max(full, default=0))
+        for c in range(k)
+        if s < full[c]
+    ]
+    blocks.extend(
+        (c, full[c], np.arange(c + full[c] * span, num_rows, k))
+        for c in range(k)
+        if counts[c] % batch_rows
+    )
     return blocks
 
 
@@ -90,22 +90,15 @@ class StreamTransferUDF(TableUDF):
             ("spilled_bytes", DataType.BIGINT),
         )
 
-    def process_partition(
-        self, rows: Iterable[tuple], input_schema: Schema, args: tuple, ctx: UdfContext
-    ) -> Iterable[tuple]:
-        """Step 8 over rows: row i goes to channel ``i % k``, each channel's
-        rows travelling as blocks of up to the session's ``batch_rows``."""
-        yield self._stream(
-            args, ctx, lambda k, batch_rows: plan_blocks(rows, k, batch_rows)
-        )
+    def process_batch(self, batch, input_schema: Schema, args: tuple, ctx: UdfContext):
+        """Register, receive the matched channels, send the partition as
+        ``C`` frames, close with EOF; returns the one-row transfer summary.
 
-    def _stream(self, args: tuple, ctx: UdfContext, plan) -> tuple:
-        """Register, receive the matched channels, send the planned blocks,
-        close with EOF; returns the one-row transfer summary.
-
-        ``plan(k, batch_rows)`` yields the partition as ``(channel index,
-        sequence number, block)`` triples.  It is the unit of replay: with
-        the §6 recovery protocol installed each block send beats the
+        Step 8: row i goes to channel ``i % k``, each channel's rows
+        travelling as blocks of up to the session's ``batch_rows``
+        (:func:`plan_blocks`), each an index take of the batch.  The plan is
+        the unit of replay: with the §6 recovery protocol installed each
+        block send beats the
         heartbeat, consults the fault injector, and retries transient
         channel timeouts with backoff, and a worker kill triggers a
         coordinated partial restart — only this worker and its k paired ML
@@ -134,7 +127,7 @@ class StreamTransferUDF(TableUDF):
         if not channels:
             raise TransferError(f"worker {ctx.worker_id} was matched to no channels")
 
-        blocks = plan(len(channels), session.batch_rows)
+        blocks = plan_blocks(batch.num_rows, len(channels), session.batch_rows)
         recovery = coordinator.recovery
         budget = session.budget
         epoch = 0
@@ -142,7 +135,7 @@ class StreamTransferUDF(TableUDF):
             while True:
                 try:
                     rows_streamed = 0
-                    for target, seq, block in blocks:
+                    for target, seq, rows in blocks:
                         # Cooperative cancellation, once per block:
                         # DeadlineExceeded and SessionCancelled are neither
                         # WorkerFailedError nor RetriesExhaustedError, so
@@ -150,6 +143,7 @@ class StreamTransferUDF(TableUDF):
                         if budget is not None:
                             budget.check("stream send")
                         channel = channels[target]
+                        block = batch.take(rows)
                         if recovery is None:
                             channel.send_many(block, seq)
                         else:
@@ -166,7 +160,7 @@ class StreamTransferUDF(TableUDF):
                                 lambda: channel.send_many(block, seq, retry=epoch > 0),
                                 f"{session_id}/{channel.channel_id}",
                             )
-                        rows_streamed += len(block)
+                        rows_streamed += len(rows)
                     break
                 except WorkerFailedError as exc:
                     # §6: restart this worker with its paired ML readers and
@@ -194,12 +188,12 @@ class StreamTransferUDF(TableUDF):
             for channel in channels:
                 channel.close()
 
-        return (
+        return [(
             ctx.worker_id,
             rows_streamed,
             sum(c.bytes_sent for c in channels),
             sum(c.spilled_bytes for c in channels),
-        )
+        )]
 
     @staticmethod
     def _parse_args(args: tuple) -> tuple[str, str | None, dict]:
@@ -209,20 +203,3 @@ class StreamTransferUDF(TableUDF):
         command = str(args[1]) if len(args) > 1 and args[1] is not None else None
         ml_args = parse_ml_args(str(args[2])) if len(args) > 2 and args[2] else {}
         return session_id, command, ml_args
-
-
-class ColumnarStreamTransferUDF(StreamTransferUDF):
-    """The sink of a ``columnar=True`` deployment: a batch travels as ``C``
-    frames.  :class:`StreamTransferUDF` has no batch kernel, so the executor
-    hands it the batch's rows, which travel as ``R`` frames."""
-
-    def process_batch(self, batch, input_schema: Schema, args: tuple, ctx: UdfContext):
-        """Step 8 over a ColumnBatch: one ``C`` frame per channel, fanned
-        out by ``batch.slice_step(j, k)`` — the same ``i % k`` row placement,
-        computed as an index take instead of a per-row dispatch loop."""
-
-        def plan(k: int, _batch_rows: int) -> list[tuple]:
-            parts = [batch.slice_step(j, k) if k > 1 else batch for j in range(k)]
-            return [(j, 0, part) for j, part in enumerate(parts) if len(part)]
-
-        return [self._stream(args, ctx, plan)]

@@ -242,13 +242,15 @@ class TestRecoveryManager:
 
 class TestSequencedChannel:
     def test_plan_blocks_deterministic_round_robin(self):
-        partition = [(i,) for i in range(20)]
-        blocks = plan_blocks(partition, k=3, batch_rows=4)
-        assert blocks == plan_blocks(partition, k=3, batch_rows=4)
+        blocks = plan_blocks(20, k=3, batch_rows=4)
+        again = plan_blocks(20, k=3, batch_rows=4)
+        assert [(t, s, rows.tolist()) for t, s, rows in blocks] == [
+            (t, s, rows.tolist()) for t, s, rows in again
+        ]
         # every row exactly once, channel i holds rows i, i+3, ...
         for target, _seq, rows in blocks:
-            assert all(r[0] % 3 == target for r in rows)
-        assert sorted(r[0] for _t, _s, rows in blocks for r in rows) == list(range(20))
+            assert all(r % 3 == target for r in rows.tolist())
+        assert sorted(r for _t, _s, rows in blocks for r in rows.tolist()) == list(range(20))
         # per-channel sequence numbers are dense from 0
         for ch in range(3):
             seqs = [s for t, s, _r in blocks if t == ch]

@@ -8,13 +8,11 @@ from repro.common.errors import (
     BlockCorruptError,
     BlockError,
     CheckpointError,
-    DataNodeDownError,
     HdfsError,
     StorageFullError,
 )
 from repro.checkpoint.store import CheckpointStore, encode_checkpoint
 from repro.faults.injector import FaultConfig, FaultInjector
-from repro.hdfs.datanode import DataNode, block_crc
 from repro.hdfs.filesystem import DistributedFileSystem
 from repro.hdfs.namenode import NameNode
 from repro.transfer.buffers import SpillableBuffer
