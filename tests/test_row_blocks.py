@@ -265,7 +265,12 @@ class TestBrokerBlocks:
 
 class TestMlBoundaryByteIdentity:
     """Batching must not change a single value or its ordering at the ML
-    boundary, for every connection strategy and broker variant."""
+    boundary, for every connection strategy and broker variant.  On the
+    stream, neither block size nor transport may change a ledger byte the
+    Figure 3/4 stream stage reads, a simulated second, or the model."""
+
+    STREAM_CATEGORIES = ("stream.sent", "stream.net", "stream.retry", "ml.ingest")
+    _streams = {}
 
     def _signature(self, result):
         # Order-sensitive on purpose: identical per-partition sequences,
@@ -275,7 +280,7 @@ class TestMlBoundaryByteIdentity:
             for lp in result.ml_result.dataset.collect()
         ]
 
-    def _run(self, batch_rows, runner_name, transport="memory", columnar=False):
+    def _result(self, batch_rows, runner_name, transport="memory", columnar=False, **ml):
         deployment = make_deployment(
             block_size=64 * 1024,
             batch_rows=batch_rows,
@@ -287,15 +292,39 @@ class TestMlBoundaryByteIdentity:
         )
         deployment.pipeline.byte_scale = workload.byte_scale
         runner = getattr(deployment.pipeline, runner_name)
-        return self._signature(runner(workload.prep_sql, workload.spec, "noop"))
+        return deployment, runner(workload.prep_sql, workload.spec, **(ml or {"command": "noop"}))
+
+    def _run(self, batch_rows, runner_name, transport="memory", columnar=False):
+        return self._signature(self._result(batch_rows, runner_name, transport, columnar)[1])
+
+    def _stream(self, batch_rows, transport):
+        """A trained stream run: the ML boundary, the stream's ledger bytes,
+        every stage's sim-seconds and the model's weights."""
+        key = (batch_rows, transport)
+        if key not in self._streams:
+            deployment, result = self._result(
+                batch_rows,
+                "run_insql_stream",
+                transport,
+                command="svm_with_sgd",
+                args={"iterations": 3},
+            )
+            ledger = {c: deployment.cluster.ledger.get(c) for c in self.STREAM_CATEGORIES}
+            assert ledger["stream.sent"] == ledger["ml.ingest"] > 0
+            self._streams[key] = (
+                self._signature(result),
+                ledger,
+                [stage.sim_seconds for stage in result.stages],
+                result.ml_result.model.weights.tobytes(),
+            )
+        return self._streams[key]
 
     def test_stream_batched_equals_per_row_seed(self):
-        assert self._run(256, "run_insql_stream") == self._run(1, "run_insql_stream")
+        assert self._stream(256, "memory") == self._stream(1, "memory")
 
     def test_socket_transport_batched_equals_per_row_seed(self):
-        assert self._run(256, "run_insql_stream", transport="socket") == self._run(
-            1, "run_insql_stream", transport="socket"
-        )
+        assert self._stream(256, "socket") == self._stream(1, "socket")
+        assert self._stream(256, "socket") == self._stream(256, "memory")
 
     def test_broker_batched_equals_per_row_seed(self):
         assert self._run(256, "run_insql_broker") == self._run(1, "run_insql_broker")
