@@ -163,8 +163,8 @@ class CostLedger:
         # Row *counts* (not bytes) of dirty-data handling in the recode UDF.
         "transform.unseen_nulled",
         "transform.rows_skipped",
-        # A *count*: SQL operators that fell back from their vector kernel
-        # to the tuple operators (0 on a healthy run, on every deployment).
+        # A *count*: SQL expressions that fell back from their vector kernel
+        # to ``Expr.bind_batch`` (0 on a healthy run, on every deployment).
         "columnar.fallback",
     )
 

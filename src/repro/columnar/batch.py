@@ -339,8 +339,8 @@ class ColumnBatch:
         return self.num_rows
 
     def to_rows(self) -> list[tuple]:
-        """Row-tuple view (memoized — the seam adapter used by every
-        operator without a columnar kernel)."""
+        """Row-tuple view (memoized): what ``bind_batch``, a table UDF's
+        ``process_partition`` and a query's result read."""
         if self._rows is None:
             if not self.columns:
                 self._rows = [()] * self.num_rows

@@ -70,9 +70,9 @@ class TableFunction(TableRef):
 
 @dataclass(frozen=True)
 class SubqueryRef(TableRef):
-    """A derived table: ``(SELECT ...) AS alias``."""
+    """A derived table: ``(SELECT ...) AS alias``, or a UNION ALL of them."""
 
-    query: "SelectQuery"
+    query: "SelectQuery | UnionAll"
     alias: str
 
     @property

@@ -4,21 +4,16 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.cluster.cluster import Cluster
-from repro.common.errors import CatalogError, HdfsError, PlanError
+from repro.common.errors import CatalogError, HdfsError
 from repro.sql.ast import SelectQuery
 from repro.sql.catalog import Catalog
-from repro.sql.executor import (
-    DistRelation,
-    ExecutionContext,
-    Executor,
-    partition_rows as relation_rows,
-)
+from repro.sql.executor import DistRelation, ExecutionContext, Executor, group_codes
 from repro.sql.expressions import FunctionRegistry
 from repro.sql.parser import parse
 from repro.sql.plan import LogicalPlan
 from repro.sql.planner import Planner, PlannerContext
 from repro.sql.table import Partition, Table, partition_rows
-from repro.sql.types import DataType, Schema, estimate_rows_bytes
+from repro.sql.types import DataType, Schema
 from repro.sql.udf import TableUDF
 
 
@@ -119,27 +114,24 @@ class BigSQL:
         """Compute and store table statistics (row count, per-column NDV).
 
         One full scan through the normal executor — external tables pay
-        their DFS read like any other scan.  The planner consumes the stats
-        for selectivity estimation and join ordering until the table's
-        version changes."""
+        their DFS read like any other scan.  A column's NDV counts its
+        groups (:func:`~repro.sql.executor.group_codes`) but NULL's, so NaN
+        counts once.  The planner consumes the stats for selectivity
+        estimation and join ordering until the table's version changes."""
+        from repro.columnar.batch import ColumnBatch
         from repro.sql.catalog import TableStats
 
         entry = self.catalog.get_entry(name)
         relation = self.execute_distributed(f"SELECT * FROM {name}")
         row_count = relation.total_rows()
-        all_rows = relation.all_rows()
-        total_bytes = estimate_rows_bytes(all_rows)
-        distinct: list[set] = [set() for _ in relation.schema]
-        for row in all_rows:
-            for i, value in enumerate(row):
-                if value is not None:
-                    distinct[i].add(value)
+        whole = ColumnBatch.concat(relation.schema, relation.partitions)
         stats = TableStats(
             row_count=row_count,
-            avg_row_bytes=(total_bytes / row_count) if row_count else 0.0,
+            avg_row_bytes=(relation.estimated_bytes() / row_count) if row_count else 0.0,
             ndv={
-                column.name.lower(): len(values)
-                for column, values in zip(relation.schema, distinct)
+                column.name.lower(): len(group_codes([vector], row_count)[1])
+                - int(not vector.valid.all())
+                for column, vector in zip(relation.schema, whole.columns)
             },
             analyzed_version=entry.version,
         )
@@ -165,25 +157,6 @@ class BigSQL:
                 table_stats=self._fresh_table_stats,
             )
         )
-        from repro.sql.ast import UnionAll
-        from repro.sql.plan import LogicalUnionAll
-
-        if isinstance(query, UnionAll):
-            branches = [planner.plan(b) for b in query.branches]
-            first = branches[0].schema
-            for i, branch in enumerate(branches[1:], start=2):
-                if len(branch.schema) != len(first):
-                    raise PlanError(
-                        f"UNION ALL branch {i} has {len(branch.schema)} "
-                        f"columns, branch 1 has {len(first)}"
-                    )
-                for a, b in zip(first, branch.schema):
-                    if a.dtype is not b.dtype:
-                        raise PlanError(
-                            f"UNION ALL type mismatch on column "
-                            f"{a.name!r}: {a.dtype.value} vs {b.dtype.value}"
-                        )
-            return LogicalUnionAll(branches=branches, schema=first)
         return planner.plan(query)
 
     def explain(self, query: str | SelectQuery) -> str:
@@ -198,8 +171,8 @@ class BigSQL:
             name=f"_result_{self._result_counter}",
             schema=relation.schema,
             partitions=[
-                Partition(rows=relation_rows(rows), worker_id=i)
-                for i, rows in enumerate(relation.partitions)
+                Partition(rows=batch.to_rows(), worker_id=i)
+                for i, batch in enumerate(relation.partitions)
             ],
         )
 
@@ -236,8 +209,8 @@ class BigSQL:
             name=name,
             schema=relation.schema,
             partitions=[
-                Partition(rows=relation_rows(rows), worker_id=i)
-                for i, rows in enumerate(relation.partitions)
+                Partition(rows=batch.to_rows(), worker_id=i)
+                for i, batch in enumerate(relation.partitions)
             ],
         )
         self.catalog.add_table(table, definition=query)

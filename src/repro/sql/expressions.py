@@ -40,9 +40,10 @@ class Expr(ABC):
     @abstractmethod
     def bind_batch(self, binder: Binder) -> Callable[[list[tuple]], list]:
         """Compile to a rows -> values evaluator over a whole partition: the
-        one row evaluator, which the executor's tuple operators call once per
-        partition.  AND, OR, IN, CASE and COALESCE are lazy: each operand
-        runs only on the rows the earlier operands left undecided."""
+        one row evaluator, the executor's fallback where a vector kernel is
+        missing or declines a batch.  AND, OR, IN, CASE and COALESCE are
+        lazy: each operand runs only on the rows the earlier operands left
+        undecided."""
 
     @abstractmethod
     def data_type(self, binder: Binder) -> DataType:

@@ -133,11 +133,15 @@ class Parser:
     # ------------------------------------------------------------ statement
 
     def parse_statement(self) -> "SelectQuery | UnionAll":
+        query = self._parse_query()
+        self.expect_eof()
+        return query
+
+    def _parse_query(self) -> "SelectQuery | UnionAll":
         branches = [self._parse_select()]
         while self._accept_keyword("union"):
             self._expect_keyword("all")
             branches.append(self._parse_select())
-        self.expect_eof()
         if len(branches) == 1:
             return branches[0]
         return UnionAll(tuple(branches))
@@ -233,7 +237,7 @@ class Parser:
             return self._parse_table_function()
         if token.is_op("("):
             self._advance()
-            query = self._parse_select()
+            query = self._parse_query()
             self._expect_op(")")
             self._accept_keyword("as")
             alias = self._expect_ident()

@@ -138,17 +138,12 @@ class LogicalDistinct(LogicalPlan):
 
 @dataclass
 class LogicalAggregate(LogicalPlan):
-    """Grouped aggregation.
-
-    ``output_exprs`` mirror the SELECT list: each is either an index into the
-    group keys (int) or an index into ``agg_calls`` (tagged tuple).
-    """
+    """Grouped aggregation: one row per group, its ``group_exprs`` values
+    and then one column per call of ``agg_calls``."""
 
     child: LogicalPlan
     group_exprs: list[Expr]
     agg_calls: list[AggregateCall]
-    # each item: ("group", i) or ("agg", i)
-    output_slots: list[tuple[str, int]]
     schema: Schema
     having: Expr | None = None
 

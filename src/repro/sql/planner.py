@@ -12,6 +12,7 @@ from repro.sql.ast import (
     SubqueryRef,
     TableFunction,
     TableRef,
+    UnionAll,
 )
 from repro.sql.expressions import (
     AggregateCall,
@@ -37,6 +38,7 @@ from repro.sql.plan import (
     LogicalScan,
     LogicalSort,
     LogicalTableFunction,
+    LogicalUnionAll,
 )
 from repro.sql.types import Column, Schema
 
@@ -74,7 +76,9 @@ class Planner:
         # What the statement being planned reads; None = every column.
         self._references: set[tuple[str | None, str]] | None = None
 
-    def plan(self, query: SelectQuery) -> LogicalPlan:
+    def plan(self, query: SelectQuery | UnionAll) -> LogicalPlan:
+        if isinstance(query, UnionAll):
+            return self._plan_union(query)
         try:
             return self._plan(query, _statement_references(query))
         except PlanError as exc:
@@ -82,6 +86,24 @@ class Planner:
                 raise
         # Unpruned, the same error lists every column the tables offer.
         return self._plan(query, None)
+
+    def _plan_union(self, query: UnionAll) -> LogicalUnionAll:
+        """Branches of equal width and column types; the first names them."""
+        branches = [Planner(self._ctx).plan(b) for b in query.branches]
+        first = branches[0].schema
+        for i, branch in enumerate(branches[1:], start=2):
+            if len(branch.schema) != len(first):
+                raise PlanError(
+                    f"UNION ALL branch {i} has {len(branch.schema)} "
+                    f"columns, branch 1 has {len(first)}"
+                )
+            for a, b in zip(first, branch.schema):
+                if a.dtype is not b.dtype:
+                    raise PlanError(
+                        f"UNION ALL type mismatch on column "
+                        f"{a.name!r}: {a.dtype.value} vs {b.dtype.value}"
+                    )
+        return LogicalUnionAll(branches=branches, schema=first)
 
     def _plan(self, query: SelectQuery, references) -> LogicalPlan:
         self._references = references
@@ -519,8 +541,6 @@ class Planner:
             child=input_plan,
             group_exprs=group_exprs,
             agg_calls=agg_calls,
-            output_slots=[("group", i) for i in range(len(group_exprs))]
-            + [("agg", i) for i in range(len(agg_calls))],
             schema=agg_schema,
         )
 

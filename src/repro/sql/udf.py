@@ -8,7 +8,8 @@ SQL system that supports UDFs".  Two kinds are supported:
   expression is;
 * **parallel table UDFs** — subclasses of :class:`TableUDF`, invoked as
   ``SELECT ... FROM TABLE(name(input, args...))``.  The engine calls
-  :meth:`TableUDF.process_partition` once per partition, concurrently across
+  :meth:`TableUDF.process_batch` (or, where it declines,
+  :meth:`TableUDF.process_partition`) once per partition, concurrently across
   worker slots, handing each invocation a :class:`UdfContext` describing its
   slot (worker id, node, total workers) and the engine services it may use
   (DFS handle, transfer coordinator, cost ledger).
@@ -72,14 +73,15 @@ class TableUDF(ABC):
         args: tuple,
         ctx: UdfContext,
     ) -> Iterable[tuple]:
-        """Transform one input partition into output rows.  A UDF with only
-        :meth:`process_batch` is never handed rows (the executor re-batches)."""
+        """Transform one input partition's rows into output rows; called
+        only where :meth:`process_batch` declines."""
         raise ExecutionError(f"table UDF {self.name!r} has no row kernel")
 
     def process_batch(self, batch, input_schema: Schema, args: tuple, ctx: UdfContext):
-        """Optional columnar kernel: consume one
-        :class:`~repro.columnar.batch.ColumnBatch`, return a ColumnBatch (or
-        a row list), or ``None`` to decline — the executor then falls back to
-        :meth:`process_partition` over ``batch.to_rows()``.  A UDF that does
-        not override it is handed row partitions as they are."""
+        """The columnar kernel: consume one worker slot's
+        :class:`~repro.columnar.batch.ColumnBatch` and return a ColumnBatch,
+        a row list, or ``None`` to decline — the executor then calls
+        :meth:`process_partition` over ``batch.to_rows()``.  The executor
+        batches row output once, at this seam: every operator downstream
+        reads batches."""
         return None

@@ -16,11 +16,11 @@ any node in the tree falls outside the supported subset (scalar UDF calls,
 COALESCE, ``/`` and ``%`` whose division-by-zero error and truncation are
 row-defined, VARCHAR-vs-VARCHAR column comparisons), and a compiled kernel
 raises :class:`VectorFallback` when a runtime shape/type doesn't match its
-assumptions.  Callers fall back to the row-oriented path over
+assumptions.  Callers fall back to ``Expr.bind_batch`` over
 ``batch.to_rows()`` in both cases, so vectorization is a pure optimization:
 it can never change results, only skip itself.  One deliberate deviation is
 documented: integer arithmetic runs in int64 (numpy) rather than Python's
-arbitrary precision, so values beyond 2**63 would wrap where the row path
+arbitrary precision, so values beyond 2**63 would wrap where ``bind_batch``
 would not — a column holding such a value is an ``object`` column of the
 Python values, whose column-reference kernel raises ``VectorFallback``, so
 no kernel ever computes on it.
@@ -52,14 +52,13 @@ from repro.sql.expressions import (
     Negate,
     Not,
     Or,
-    Star,
     like_regex,
 )
 from repro.sql.types import DataType, Schema
 
 
 class VectorFallback(Exception):
-    """A compiled kernel met data it cannot handle; use the row path."""
+    """A compiled kernel met data it cannot handle; use ``bind_batch``."""
 
 
 @dataclass
@@ -143,7 +142,7 @@ def _compile(expr: Expr, schema: Schema) -> Kernel | None:
         return _compile_like(expr, schema)
     if isinstance(expr, CaseWhen):
         return _compile_case(expr, schema)
-    return None  # FuncCall, Coalesce, Star, aggregates: row path
+    return None  # FuncCall, Coalesce, Star, aggregates: bind_batch
 
 
 def _compile_column_ref(expr: ColumnRef, schema: Schema) -> Kernel:
@@ -242,7 +241,7 @@ def _compile_comparison(expr: Comparison, schema: Schema) -> Kernel | None:
 
 def _compile_arithmetic(expr: Arithmetic, schema: Schema) -> Kernel | None:
     if expr.op not in _ARITH_UFUNCS:
-        return None  # / and % keep the row path's exact semantics
+        return None  # / and % keep bind_batch's exact semantics
     lt, rt = _expr_type(expr.left, schema), _expr_type(expr.right, schema)
     if lt is None or rt is None or not (lt.is_numeric and rt.is_numeric):
         return None
@@ -566,89 +565,9 @@ def compile_projection(
 def compile_columns(
     exprs: list[Expr], schema: Schema
 ) -> Callable[[ColumnBatch], list[VCol]] | None:
-    """Compile expressions to ``batch -> [VCol, ...]`` (the join's key
-    arrays), or None if any expression is unsupported."""
+    """Compile expressions to ``batch -> [VCol, ...]`` (the join's and the
+    sort's key arrays), or None if any expression is unsupported."""
     kernels = [_compile(e, schema) for e in exprs]
     if any(k is None for k in kernels):
         return None
     return lambda batch: [fn(batch) for fn in kernels]
-
-
-def compile_value_lists(
-    exprs: list[Expr], schema: Schema
-) -> Callable[[ColumnBatch], list[list]] | None:
-    """Compile expressions to ``batch -> [python value column, ...]`` —
-    vectorized evaluation with a row-compatible output, used for group
-    keys and aggregate arguments feeding hash-based operators."""
-    columns = compile_columns(exprs, schema)
-    if columns is None:
-        return None
-    return lambda batch: [vcol.to_pylist() for vcol in columns(batch)]
-
-
-def compile_global_aggregate(
-    agg_calls, schema: Schema
-) -> Callable[[ColumnBatch], dict[tuple, list]] | None:
-    """Compile a global (no GROUP BY) aggregate to one numpy reduction per
-    call, producing the same ``{(): [accumulators...]}`` partial shape the
-    row path builds, so merging and finalization are shared."""
-    compiled = []
-    for call in agg_calls:
-        star = call.func == "count" and isinstance(call.arg, Star)
-        if star:
-            compiled.append((call.func, None, call.distinct, None))
-            continue
-        fn = _compile(call.arg, schema)
-        if fn is None:
-            return None
-        compiled.append((call.func, fn, call.distinct, _expr_type(call.arg, schema)))
-
-    def kernel(batch: ColumnBatch) -> dict[tuple, list]:
-        accumulators = []
-        for func, fn, distinct, _dtype in compiled:
-            if fn is None:  # COUNT(*)
-                if distinct:
-                    raise VectorFallback("COUNT(DISTINCT *)")
-                accumulators.append([batch.num_rows])
-                continue
-            vcol = fn(batch)
-            if vcol.dictionary is not None:
-                present = vcol.values[vcol.valid]
-                words = vcol.dictionary
-                if distinct:
-                    accumulators.append(
-                        [{words[c] for c in np.unique(present).tolist()}]
-                    )
-                    continue
-                if func == "count":
-                    accumulators.append([int(present.size)])
-                    continue
-                if func in ("min", "max"):
-                    distinct_words = [words[c] for c in np.unique(present).tolist()]
-                    if not distinct_words:
-                        accumulators.append([None])
-                    elif func == "min":
-                        accumulators.append([min(distinct_words)])
-                    else:
-                        accumulators.append([max(distinct_words)])
-                    continue
-                raise VectorFallback(f"{func} over VARCHAR")
-            present = vcol.values[vcol.valid]
-            if distinct:
-                accumulators.append([set(np.unique(present).tolist())])
-            elif func == "count":
-                accumulators.append([int(present.size)])
-            elif func == "sum":
-                accumulators.append([present.sum().item() if present.size else None])
-            elif func == "avg":
-                total = present.sum().item() if present.size else 0
-                accumulators.append([float(total), int(present.size)])
-            elif func == "min":
-                accumulators.append([present.min().item() if present.size else None])
-            elif func == "max":
-                accumulators.append([present.max().item() if present.size else None])
-            else:
-                raise VectorFallback(f"unknown aggregate {func!r}")
-        return {(): accumulators}
-
-    return kernel

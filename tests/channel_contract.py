@@ -41,8 +41,8 @@ class ChannelContract:
         return StreamChannel(ChannelId(0, 0), pipe, **kwargs)
 
     @staticmethod
-    def pump(channel, blocks) -> list[tuple]:
-        """Send ``blocks`` and close from a producer thread; drain here."""
+    def pump(channel, blocks, drain=list) -> list[tuple]:
+        """Send ``blocks`` and close from a producer thread; ``drain`` here."""
 
         def produce():
             for block in blocks:
@@ -51,7 +51,7 @@ class ChannelContract:
 
         producer = threading.Thread(target=produce)
         producer.start()
-        received = list(channel)
+        received = drain(channel)
         producer.join(timeout=10)
         assert not producer.is_alive()
         return received
@@ -138,6 +138,17 @@ class ChannelContract:
         blocks = [rows_of(size, f"b{i}") for i, size in enumerate(sizes)]
         channel = self.channel(buffer_bytes=2048)
         assert self.pump(channel, blocks) == [r for block in blocks for r in block]
+
+    def test_receive_takes_one_row_at_a_time_across_blocks(self):
+        """``receive`` hands out one-row and many-row blocks a row at a
+        time, in order, and counts every row."""
+        blocks = [rows_of(size, f"b{i}") for i, size in enumerate([1, 3, 1, 1, 17, 1])]
+        channel = self.channel()
+        received = self.pump(
+            channel, blocks, drain=lambda c: list(iter(lambda: c.receive(timeout=5.0), None))
+        )
+        assert received == [r for block in blocks for r in block]
+        assert channel.rows_received == len(received)
 
     def test_backpressure_spills_without_blocking(self):
         """A tiny buffer and no reader: the sender must keep going, spilling

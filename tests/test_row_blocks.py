@@ -1,6 +1,7 @@
-"""Block framing: FIFO across spill boundaries, mixed block sizes, EOF
-flush of partial batches, deadline-guarded reads, and byte-identity of the
-ML boundary against one-row frames (``batch_rows=1``)."""
+"""Block framing: FIFO across spill boundaries, EOF flush of partial
+batches, deadline-guarded reads, and byte-identity of the ML boundary
+against one-row frames (``batch_rows=1``).  Mixed block sizes on both pipes
+are ``tests/channel_contract.py``'s."""
 
 import threading
 import time
@@ -72,63 +73,6 @@ class TestSpillBoundaryMidBlock:
         buf.close()
         assert list(buf) == payloads
         assert buf.spilled_bytes > 0
-
-
-class TestMixedBlockSizes:
-    """One-row and many-row frames of varied sizes interleave on one channel."""
-
-    MIX = [
-        [(0, "single-a")],
-        _rows(3, "m0"),
-        [(1, "single-b")],
-        _rows(1, "m1"),
-        _rows(17, "m2"),
-        [(2, "single-c")],
-    ]
-    EXPECTED = [row for block in MIX for row in block]
-
-    def _send_mix(self, channel):
-        for block in self.MIX:
-            channel.send_many(block)
-        channel.close()
-
-    def test_memory_channel_iterates_in_order(self):
-        channel = StreamChannel(ChannelId(1, 0), SpillableBuffer(64), local=True)
-        self._send_mix(channel)
-        assert list(channel) == self.EXPECTED
-
-    def test_memory_channel_receive_one_at_a_time(self):
-        channel = StreamChannel(ChannelId(1, 1), SpillableBuffer(64), local=True)
-        self._send_mix(channel)
-        out = []
-        while (row := channel.receive()) is not None:
-            out.append(row)
-        assert out == self.EXPECTED
-        assert channel.rows_received == len(self.EXPECTED)
-
-    def test_socket_channel_iterates_in_order(self, socket_pipe):
-        channel = StreamChannel(ChannelId(2, 0), socket_pipe(2048), local=True)
-        received: list[tuple] = []
-        reader = threading.Thread(target=lambda: received.extend(channel))
-        reader.start()
-        self._send_mix(channel)
-        reader.join(timeout=10)
-        assert received == self.EXPECTED
-
-    def test_socket_channel_blocks_spill_past_kernel_buffer(self, socket_pipe):
-        """Big blocks against a tiny kernel buffer engage the overflow path
-        without tearing frames."""
-        channel = StreamChannel(ChannelId(2, 1), socket_pipe(512), local=True)
-        blocks = [_rows(50, f"k{i}") for i in range(10)]
-        for block in blocks:  # the sender hits the full kernel buffer ...
-            channel.send_many(block)
-        assert channel.spilled_bytes > 0
-        received: list[tuple] = []
-        reader = threading.Thread(target=lambda: received.extend(channel))
-        reader.start()  # ... before draining starts
-        channel.close()
-        reader.join(timeout=10)
-        assert received == [row for block in blocks for row in block]
 
 
 class TestEofFlushOfPartialBatch:

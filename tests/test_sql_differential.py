@@ -97,7 +97,33 @@ QUERIES = [
     "SELECT id FROM t1 WHERE grp IN (1, NULL)",
     "SELECT id FROM t1 WHERE grp NOT IN (1, NULL)",
     "SELECT id, 100 / val FROM t1 WHERE val <> 0 AND 100 / val > 1",
+    # VARCHAR MIN/MAX, a nullable VARCHAR key, DISTINCT arguments, DOUBLE
+    "SELECT MIN(name), MAX(name) FROM t1",
+    "SELECT grp, MIN(name), MAX(name) FROM t1 GROUP BY grp",
+    "SELECT name, COUNT(*), SUM(val) FROM t1 GROUP BY name",
+    "SELECT grp, SUM(DISTINCT val), AVG(DISTINCT val) FROM t1 GROUP BY grp",
+    "SELECT COUNT(weight), SUM(weight), AVG(weight), MIN(weight), MAX(weight) FROM t2",
+    # a VARCHAR DESC key first (NULL-free: SQLite sorts NULLs first)
+    "SELECT tag, gid FROM t2 ORDER BY tag DESC, gid LIMIT 5",
+    # union all feeding group by
+    "SELECT grp, COUNT(*), SUM(val) FROM "
+    "(SELECT grp, val FROM t1 UNION ALL SELECT gid, gid FROM t2) AS u GROUP BY grp",
 ]
+
+# ``columnar.fallback`` ticks of a family: an expression without a vector
+# kernel (COALESCE, IN with a NULL member, ``/``) runs ``bind_batch``, one
+# tick per filter or projection holding one; every other family runs the
+# kernels only.
+FALLBACK_TICKS = {
+    "SELECT id, COALESCE(val, 0) FROM t1": 1,
+    "SELECT id FROM t1 WHERE grp IN (1, NULL)": 1,
+    "SELECT id FROM t1 WHERE grp NOT IN (1, NULL)": 1,
+    "SELECT id, 100 / val FROM t1 WHERE val <> 0 AND 100 / val > 1": 2,
+}
+
+# One fixed dataset: NULL values and names, negative and zero values.
+FIXED_T1 = [(i, i % 5, None if i % 7 == 0 else i - 20, NAMES[i % 5]) for i in range(40)]
+FIXED_T2 = [(i % 5, round((i - 7) * 0.7, 3), TAGS[i % 3]) for i in range(15)]
 
 
 def normalize(rows):
@@ -134,6 +160,15 @@ def run_ours(t1, t2, sql):
     engine.create_table("t1", T1_SCHEMA, t1)
     engine.create_table("t2", T2_SCHEMA, t2)
     return engine.query_rows(sql)
+
+
+@pytest.mark.parametrize("sql", QUERIES, ids=range(len(QUERIES)))
+def test_fallback_ticks_per_family(sql):
+    engine = BigSQL(make_paper_cluster())
+    engine.create_table("t1", T1_SCHEMA, FIXED_T1)
+    engine.create_table("t2", T2_SCHEMA, FIXED_T2)
+    assert normalize(engine.query_rows(sql)) == normalize(run_sqlite(FIXED_T1, FIXED_T2, sql))
+    assert engine.cluster.ledger.get("columnar.fallback") == FALLBACK_TICKS.get(sql, 0)
 
 
 def run_ours_on_text(t1, t2, sql):
