@@ -88,9 +88,8 @@ def main() -> None:
         f"'{plan.map_handle}', 'gender')) AS e LIMIT 5"
     )
     print("\neffect-coded sample (gender -> K-1 contrast columns):")
-    table = dep.engine.execute(effect_sql)
-    print(" ", table.schema.names)
-    for row in table.all_rows():
+    print(" ", dep.engine.plan(effect_sql).schema.names)
+    for row in dep.engine.query_rows(effect_sql):
         print(" ", row)
 
     # 3. §5.2 follow-up: cache the recode maps, then a new query with an

@@ -99,6 +99,14 @@ def _coerce(dtype: DataType, value):
     return value
 
 
+def _widened(value):
+    """An ``int`` as the ``float`` a DOUBLE column stores, where one holds it."""
+    try:
+        return float(value) if type(value) is int else value
+    except OverflowError:
+        return value
+
+
 def _boxed(values) -> np.ndarray:
     """``values`` as a one-dimensional ``object`` array (a tuple stays one
     element)."""
@@ -151,6 +159,8 @@ class ColumnVector:
             )
             return cls(dtype, data, valid)
         except (TypeError, OverflowError):
+            if dtype is DataType.DOUBLE:  # an int widens here too
+                values = list(map(_widened, values))
             valid = np.fromiter((v is not None for v in values), dtype=np.bool_, count=n)
             return cls(dtype, _boxed(values), valid)
 
@@ -300,7 +310,6 @@ class ColumnBatch:
         self.schema = schema
         self.columns = columns
         self.num_rows = len(columns[0]) if columns else 0
-        self._rows: list[tuple] | None = None
 
     # ------------------------------------------------------------- building
 
@@ -316,13 +325,17 @@ class ColumnBatch:
             raise TypeError(
                 f"rows have {len(pivoted)} fields, schema has {len(schema)}"
             )
-        columns = [
+        return cls.from_pylists(schema, pivoted, len(rows))
+
+    @classmethod
+    def from_pylists(cls, schema: Schema, columns, num_rows: int) -> "ColumnBatch":
+        """Typed columns from one sequence of Python values per column
+        (``None`` marks NULL)."""
+        vectors = [
             ColumnVector.from_values(col.dtype, list(values))
-            for col, values in zip(schema, pivoted)
+            for col, values in zip(schema, columns)
         ]
-        batch = cls(schema, columns)
-        batch.num_rows = len(rows)
-        return batch
+        return cls.from_columns(schema, vectors, num_rows)
 
     @classmethod
     def from_columns(
@@ -339,14 +352,11 @@ class ColumnBatch:
         return self.num_rows
 
     def to_rows(self) -> list[tuple]:
-        """Row-tuple view (memoized): what ``bind_batch``, a table UDF's
+        """The rows as tuples: what ``bind_batch``, a row UDF's
         ``process_partition`` and a query's result read."""
-        if self._rows is None:
-            if not self.columns:
-                self._rows = [()] * self.num_rows
-            else:
-                self._rows = list(zip(*(c.to_pylist() for c in self.columns)))
-        return self._rows
+        if not self.columns:
+            return [()] * self.num_rows
+        return list(zip(*(c.to_pylist() for c in self.columns)))
 
     # ------------------------------------------------------------- kernels
 

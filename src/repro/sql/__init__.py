@@ -18,7 +18,7 @@ Entry point: :class:`~repro.sql.engine.BigSQL`.
 """
 
 from repro.sql.engine import BigSQL
-from repro.sql.table import Partition, Table
+from repro.sql.table import Table
 from repro.sql.types import Column, DataType, Schema
 from repro.sql.udf import TableUDF, UdfContext
 
@@ -26,7 +26,6 @@ __all__ = [
     "BigSQL",
     "Column",
     "DataType",
-    "Partition",
     "Schema",
     "Table",
     "TableUDF",

@@ -4,6 +4,7 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.cluster.cluster import Cluster
+from repro.columnar.batch import ColumnBatch
 from repro.common.errors import CatalogError, HdfsError
 from repro.sql.ast import SelectQuery
 from repro.sql.catalog import Catalog
@@ -12,7 +13,7 @@ from repro.sql.expressions import FunctionRegistry
 from repro.sql.parser import parse
 from repro.sql.plan import LogicalPlan
 from repro.sql.planner import Planner, PlannerContext
-from repro.sql.table import Partition, Table, partition_rows
+from repro.sql.table import Table, stored
 from repro.sql.types import DataType, Schema
 from repro.sql.udf import TableUDF
 
@@ -36,17 +37,12 @@ class BigSQL:
         self.services: dict[str, Any] = {"engine": self}
         if dfs is not None:
             self.services["dfs"] = dfs
-        self._result_counter = 0
 
     # ----------------------------------------------------------------- DDL
 
     def create_table(self, name: str, schema: Schema, rows: list[tuple]) -> Table:
         """Create an in-memory table, round-robin partitioned across slots."""
-        table = Table(
-            name=name,
-            schema=schema,
-            partitions=partition_rows(_stored(schema, rows), self.num_workers),
-        )
+        table = Table(name=name, schema=schema, partitions=self._dealt(schema, rows))
         self.catalog.add_table(table)
         return table
 
@@ -89,9 +85,10 @@ class BigSQL:
         table = entry.table
         if table.is_external:
             raise CatalogError(f"cannot insert into external table {name!r}")
-        for i, row in enumerate(_stored(table.schema, rows)):
-            table.partitions[i % len(table.partitions)].rows.append(row)
-        table.rows_changed()
+        table.partitions = [
+            stored(ColumnBatch.concat(table.schema, [old, new]))
+            for old, new in zip(table.partitions, self._dealt(table.schema, rows))
+        ]
         self.catalog.bump_version(name)
 
     # ----------------------------------------------------------------- UDFs
@@ -118,7 +115,6 @@ class BigSQL:
         groups (:func:`~repro.sql.executor.group_codes`) but NULL's, so NaN
         counts once.  The planner consumes the stats for selectivity
         estimation and join ordering until the table's version changes."""
-        from repro.columnar.batch import ColumnBatch
         from repro.sql.catalog import TableStats
 
         entry = self.catalog.get_entry(name)
@@ -163,19 +159,6 @@ class BigSQL:
         """Human-readable plan tree."""
         return self.plan(query).explain()
 
-    def execute(self, query: str | SelectQuery) -> Table:
-        """Run a query and return the (in-memory, partitioned) result."""
-        relation = self.execute_distributed(query)
-        self._result_counter += 1
-        return Table(
-            name=f"_result_{self._result_counter}",
-            schema=relation.schema,
-            partitions=[
-                Partition(rows=batch.to_rows(), worker_id=i)
-                for i, batch in enumerate(relation.partitions)
-            ],
-        )
-
     def execute_distributed(self, query: str | SelectQuery) -> DistRelation:
         """Run a query, keeping the per-slot partition structure."""
         plan = self.plan(query)
@@ -192,8 +175,9 @@ class BigSQL:
         return executor.execute(plan)
 
     def query_rows(self, sql: str) -> list[tuple]:
-        """Convenience: run and gather all result rows."""
-        return self.execute(sql).all_rows()
+        """Run a query and gather its result rows, slot by slot: the
+        engine's one row-out edge."""
+        return self.execute_distributed(sql).all_rows()
 
     # ---------------------------------------------------------------- views
 
@@ -205,18 +189,17 @@ class BigSQL:
         materialized views in query optimization")."""
         query = parse(sql)
         relation = self.execute_distributed(query)
-        table = Table(
-            name=name,
-            schema=relation.schema,
-            partitions=[
-                Partition(rows=batch.to_rows(), worker_id=i)
-                for i, batch in enumerate(relation.partitions)
-            ],
-        )
+        table = Table(name=name, schema=relation.schema, partitions=relation.partitions)
         self.catalog.add_table(table, definition=query)
         return table
 
     # -------------------------------------------------------------- internal
+
+    def _dealt(self, schema: Schema, rows) -> list[ColumnBatch]:
+        """The row-in edge: row ``i`` to slot ``i % n``, each slot's rows
+        pivoted once into a batch."""
+        rows, n = list(rows), self.num_workers
+        return [ColumnBatch.from_rows(schema, rows[w::n]) for w in range(n)]
 
     def _fresh_table_stats(self, table: Table):
         try:
@@ -239,14 +222,3 @@ class BigSQL:
                 return float(2**40)
         return float(table.estimated_bytes())
 
-
-def _stored(schema: Schema, rows) -> list[tuple]:
-    """``rows`` as their columns store them: an ``int`` in a DOUBLE column
-    is a ``float``, as a scan of the typed vectors returns it."""
-    doubles = {i for i, column in enumerate(schema) if column.dtype is DataType.DOUBLE}
-    if not doubles:
-        return list(rows)
-    return [
-        tuple(float(v) if type(v) is int and i in doubles else v for i, v in enumerate(row))
-        for row in rows
-    ]

@@ -12,7 +12,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, reduce
-from operator import add, itemgetter
+from operator import add
 from typing import Any
 
 import numpy as np
@@ -65,7 +65,7 @@ class DistRelation:
         return [row for p in self.partitions for row in p.to_rows()]
 
     def estimated_bytes(self) -> int:
-        """The seed ``estimate_rows_bytes`` of every row, by column."""
+        """Every row's seed byte estimate (``ColumnBatch.row_bytes``), summed."""
         return sum(p.logical_bytes() for p in self.partitions)
 
 
@@ -197,18 +197,11 @@ class Executor:
         return relation
 
     def _scan_table(self, plan: LogicalScan) -> list:
-        """An in-memory table's kept columns, a batch per partition (a table
-        with another partition count is dealt out row ``i`` to slot
-        ``i % n``)."""
-        table, n, width = plan.table, self._ctx.num_workers, len(plan.table.schema)
-        if len(table.partitions) == n:
-            slots = [p.rows for p in table.partitions]
-        else:
-            rows = table.all_rows()
-            slots = [rows[w::n] for w in range(n)]
+        """An in-memory table's kept columns: a fresh batch per slot over the
+        stored (read-only) arrays, no copy."""
         return [
-            ColumnBatch.from_rows(plan.schema, _project_rows(s, plan.columns, width))
-            for s in slots
+            ColumnBatch.from_columns(plan.schema, [b.columns[i] for i in plan.columns], len(b))
+            for b in plan.table.partitions
         ]
 
     def _count_columnar_fallback(self) -> None:
@@ -357,12 +350,11 @@ class Executor:
                 services=self._ctx.services,
             )
             out = plan.udf.process_batch(batch, child.schema, plan.args, ctx)
-            if out is None:  # no batch kernel for these arguments
-                out = plan.udf.process_partition(batch.to_rows(), child.schema, plan.args, ctx)
-            # The UDF seam: row output is batched here, once.
-            if isinstance(out, ColumnBatch):
+            if out is not None:
                 return out
-            return ColumnBatch.from_rows(plan.schema, list(out))
+            # The UDF seam: a row UDF's output is batched here, once.
+            rows = plan.udf.process_partition(batch.to_rows(), child.schema, plan.args, ctx)
+            return ColumnBatch.from_rows(plan.schema, list(rows))
 
         partitions = self._map_partitions(child.partitions, run_udf)
         return DistRelation(schema=plan.schema, partitions=partitions)
@@ -783,13 +775,22 @@ def group_codes(keys: list, num_rows: int) -> tuple[np.ndarray, np.ndarray]:
     return rank[inverse], first[order]
 
 
+#: What a NULL or NaN key part hashes as.  ``hash(None)`` is an address on
+#: CPython before 3.12 and ``hash(nan)`` depends on the object, so either
+#: would place a NULL key differently in every process; an int hashes the
+#: same everywhere, and sharing a slot with the key 0 is harmless.
+_NULL_PART = 0
+
+
 def _hash_slots(keys: list, num_rows: int, n: int, nest: bool = False) -> np.ndarray:
     """``hash(key) % n`` of every row's Python key tuple — ``hash((key,))``
     with ``nest``, DISTINCT's placement of a whole row — a NULL or NaN part
-    placed as ``None`` (``hash(nan)`` depends on the object): the one
-    placement of every shuffle, hashed once per distinct key."""
+    placed as :data:`_NULL_PART`: the one placement of every shuffle, hashed
+    once per distinct key."""
     codes, first = group_codes(keys, num_rows)
-    parts = [[None if _no_match(v) else v for v in _values_at(key, first)] for key in keys]
+    parts = [
+        [_NULL_PART if _no_match(v) else v for v in _values_at(key, first)] for key in keys
+    ]
     slots = np.fromiter(
         (hash((key,) if nest else key) % n for key in zip(*parts)),
         dtype=np.int64,
@@ -873,16 +874,6 @@ def _scan_split(raw: bytes, plan: LogicalScan, split: FileSplit) -> ColumnBatch:
             f"{split.path} starting at byte {split.start})"
         ) from exc
     return ColumnBatch.from_columns(plan.schema, vectors, len(vectors[0]))
-
-
-def _project_rows(rows: list[tuple], columns, width: int) -> list[tuple]:
-    """A copy of ``rows`` narrowed to the ``columns`` of ``width``-wide rows."""
-    if len(columns) == width:
-        return list(rows)
-    if len(columns) == 1:  # itemgetter of one index returns the bare value
-        (index,) = columns
-        return [(row[index],) for row in rows]
-    return list(map(itemgetter(*columns), rows))
 
 
 def assign_splits(splits: list[FileSplit], worker_nodes: list[Node]) -> list[list]:

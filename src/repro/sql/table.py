@@ -2,23 +2,9 @@
 
 from dataclasses import dataclass
 
+from repro.columnar.batch import ColumnBatch
 from repro.common.errors import CatalogError
-from repro.sql.types import Schema, estimate_rows_bytes
-
-
-@dataclass
-class Partition:
-    """One horizontal slice of a table, pinned to a worker slot."""
-
-    rows: list[tuple]
-    worker_id: int = 0
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def estimated_bytes(self) -> int:
-        """Approximate in-memory/wire size of this partition."""
-        return estimate_rows_bytes(self.rows)
+from repro.sql.types import Schema
 
 
 @dataclass
@@ -33,18 +19,19 @@ class ExternalLocation:
 class Table:
     """A named relation: either memory-resident partitions or a DFS path.
 
-    In-memory tables hold their rows in :class:`Partition` objects, one per
-    worker slot, mirroring an MPP engine's per-node storage.  External tables
-    (the paper stores carts/users "in text format on HDFS") record only their
-    location; the scan operator reads and parses them through the DFS with
-    full byte accounting.
+    In-memory tables hold one :class:`~repro.columnar.batch.ColumnBatch` per
+    worker slot, mirroring an MPP engine's per-node storage; their column
+    arrays are read-only, so no kernel can change a table in place.
+    External tables (the paper stores carts/users "in text format on HDFS")
+    record only their location; the scan operator reads and parses them
+    through the DFS with full byte accounting.
     """
 
     def __init__(
         self,
         name: str,
         schema: Schema,
-        partitions: list[Partition] | None = None,
+        partitions: list[ColumnBatch] | None = None,
         external: ExternalLocation | None = None,
     ):
         if (partitions is None) == (external is None):
@@ -53,9 +40,8 @@ class Table:
             )
         self.name = name
         self.schema = schema
-        self.partitions = partitions
+        self.partitions = None if partitions is None else [stored(b) for b in partitions]
         self.external = external
-        self._estimated_bytes: int | None = None
 
     @property
     def is_external(self) -> bool:
@@ -67,27 +53,12 @@ class Table:
             raise CatalogError(f"row count of external table {self.name!r} unknown")
         return sum(len(p) for p in self.partitions)
 
-    def all_rows(self) -> list[tuple]:
-        """Gather every row (in-memory tables only) in partition order."""
-        if self.partitions is None:
-            raise CatalogError(f"cannot gather external table {self.name!r}")
-        rows: list[tuple] = []
-        for partition in self.partitions:
-            rows.extend(partition.rows)
-        return rows
-
     def estimated_bytes(self) -> int:
-        """Approximate size (in-memory tables only), computed once per
-        contents: :meth:`rows_changed` forgets it."""
+        """Approximate size (in-memory tables only): every slot's
+        ``logical_bytes``."""
         if self.partitions is None:
             raise CatalogError(f"size of external table {self.name!r} unknown")
-        if self._estimated_bytes is None:
-            self._estimated_bytes = sum(p.estimated_bytes() for p in self.partitions)
-        return self._estimated_bytes
-
-    def rows_changed(self) -> None:
-        """Forget what was computed from the rows (after an insert)."""
-        self._estimated_bytes = None
+        return sum(p.logical_bytes() for p in self.partitions)
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         kind = f"external:{self.external.path}" if self.external else (
@@ -96,11 +67,9 @@ class Table:
         return f"Table({self.name!r}, {kind})"
 
 
-def partition_rows(rows: list[tuple], num_partitions: int) -> list[Partition]:
-    """Round-robin rows into ``num_partitions`` partitions (MPP load style)."""
-    if num_partitions < 1:
-        raise ValueError("num_partitions must be >= 1")
-    buckets: list[list[tuple]] = [[] for _ in range(num_partitions)]
-    for i, row in enumerate(rows):
-        buckets[i % num_partitions].append(row)
-    return [Partition(rows=b, worker_id=w) for w, b in enumerate(buckets)]
+def stored(batch: ColumnBatch) -> ColumnBatch:
+    """``batch`` as a table keeps it: its arrays set read-only."""
+    for column in batch.columns:
+        column.data.flags.writeable = False
+        column.valid.flags.writeable = False
+    return batch

@@ -8,11 +8,12 @@ SQL system that supports UDFs".  Two kinds are supported:
   expression is;
 * **parallel table UDFs** — subclasses of :class:`TableUDF`, invoked as
   ``SELECT ... FROM TABLE(name(input, args...))``.  The engine calls
-  :meth:`TableUDF.process_batch` (or, where it declines,
-  :meth:`TableUDF.process_partition`) once per partition, concurrently across
+  :meth:`TableUDF.process_batch` once per partition, concurrently across
   worker slots, handing each invocation a :class:`UdfContext` describing its
   slot (worker id, node, total workers) and the engine services it may use
-  (DFS handle, transfer coordinator, cost ledger).
+  (DFS handle, transfer coordinator, cost ledger).  A UDF without a batch
+  kernel — a user's, written over rows — implements
+  :meth:`TableUDF.process_partition` instead.
 
 All of §2's transformations and §3's streaming sender are implemented purely
 against this interface — see :mod:`repro.transform` and
@@ -52,11 +53,12 @@ class UdfContext:
 
 
 class TableUDF(ABC):
-    """A parallel table function: partitions in, rows out.
+    """A parallel table function: one worker slot's partition in, that
+    slot's output out.
 
     Subclasses must be stateless across partitions (one instance serves all
     worker slots concurrently); per-invocation state belongs in local
-    variables of :meth:`process_partition`.
+    variables of :meth:`process_batch` or :meth:`process_partition`.
     """
 
     #: Name used in ``TABLE(name(...))`` SQL syntax.
@@ -73,15 +75,16 @@ class TableUDF(ABC):
         args: tuple,
         ctx: UdfContext,
     ) -> Iterable[tuple]:
-        """Transform one input partition's rows into output rows; called
-        only where :meth:`process_batch` declines."""
+        """The row hook: transform one partition's rows into output rows.
+        Called only where :meth:`process_batch` returns ``None``; the
+        executor batches the rows once, at this seam."""
         raise ExecutionError(f"table UDF {self.name!r} has no row kernel")
 
     def process_batch(self, batch, input_schema: Schema, args: tuple, ctx: UdfContext):
-        """The columnar kernel: consume one worker slot's
-        :class:`~repro.columnar.batch.ColumnBatch` and return a ColumnBatch,
-        a row list, or ``None`` to decline — the executor then calls
-        :meth:`process_partition` over ``batch.to_rows()``.  The executor
-        batches row output once, at this seam: every operator downstream
-        reads batches."""
+        """The batch kernel: consume one worker slot's
+        :class:`~repro.columnar.batch.ColumnBatch` and return the output as a
+        ColumnBatch of :meth:`output_schema`, or ``None`` (the default) to
+        have the executor call :meth:`process_partition` over
+        ``batch.to_rows()`` instead.  Every built-in UDF but the broker
+        sender is a batch kernel."""
         return None

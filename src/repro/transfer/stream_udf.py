@@ -21,6 +21,7 @@ returns a one-row transfer summary.
 
 import numpy as np
 
+from repro.columnar.batch import ColumnBatch
 from repro.common.errors import (
     RetriesExhaustedError,
     TransferError,
@@ -188,12 +189,15 @@ class StreamTransferUDF(TableUDF):
             for channel in channels:
                 channel.close()
 
-        return [(
+        summary = (
             ctx.worker_id,
             rows_streamed,
             sum(c.bytes_sent for c in channels),
             sum(c.spilled_bytes for c in channels),
-        )]
+        )
+        return ColumnBatch.from_pylists(
+            self.output_schema(input_schema, args), [[value] for value in summary], 1
+        )
 
     @staticmethod
     def _parse_args(args: tuple) -> tuple[str, str | None, dict]:

@@ -1,7 +1,8 @@
 """Dummy coding / one-hot encoding (§2.2) as a single-pass table UDF."""
 
-from collections.abc import Iterable
+import numpy as np
 
+from repro.columnar.batch import ColumnBatch, ColumnVector
 from repro.common.errors import ExecutionError
 from repro.sql.types import Column, DataType, Schema
 from repro.sql.udf import TableUDF, UdfContext
@@ -64,73 +65,24 @@ class DummyCodeUDF(TableUDF):
                 out.append(column)
         return Schema(out)
 
-    def process_partition(
-        self, rows: Iterable[tuple], input_schema: Schema, args: tuple, ctx: UdfContext
-    ) -> Iterable[tuple]:
-        handle, columns = self._parse_args(args)
-        recode_map: RecodeMap = self._transforms.get(handle)
-        targets = {c.lower() for c in columns}
-        layout: list[tuple[str, int]] = []  # ("copy", idx) or ("expand:K", idx)
-        for i, column in enumerate(input_schema):
-            if column.name.lower() in targets:
-                k = len(recode_map.mapping_or_empty(column.name))
-                layout.append((f"expand:{k}", i))
-            else:
-                layout.append(("copy", i))
-        for row in rows:
-            out: list = []
-            for kind, index in layout:
-                if kind == "copy":
-                    out.append(row[index])
-                else:
-                    k = int(kind.split(":", 1)[1])
-                    code = row[index]
-                    indicators = [0] * k
-                    if code is not None:
-                        if not isinstance(code, int) or not (1 <= code <= k):
-                            raise ExecutionError(
-                                f"dummy_code expects recoded values in 1..{k}, "
-                                f"got {code!r} (recode the column first)"
-                            )
-                        indicators[code - 1] = 1
-                    out.extend(indicators)
-            yield tuple(out)
-
     def process_batch(self, batch, input_schema: Schema, args: tuple, ctx: UdfContext):
-        """Columnar one-hot: K equality comparisons over the whole code
-        array per expanded column, no per-row indicator lists."""
-        import numpy as np
-
-        from repro.columnar.batch import ColumnBatch, ColumnVector
-
+        """One-hot: K equality comparisons over the whole code array per
+        expanded column, no per-row indicator lists."""
         handle, columns = self._parse_args(args)
         recode_map: RecodeMap = self._transforms.get(handle)
         targets = {c.lower() for c in columns}
-        for i, column in enumerate(input_schema):
-            vector = batch.columns[i]
-            if column.name.lower() in targets and (
-                vector.dtype not in (DataType.INT, DataType.BIGINT) or vector.is_object
-            ):
-                return None  # not recoded integers: the row path raises properly
         out_vectors: list[ColumnVector] = []
         n = batch.num_rows
-        for i, column in enumerate(input_schema):
-            vector = batch.columns[i]
+        ones = np.ones(n, dtype=np.bool_)
+        for column, vector in zip(input_schema, batch.columns):
             if column.name.lower() not in targets:
                 out_vectors.append(vector)
                 continue
             k = len(recode_map.mapping_or_empty(column.name))
-            bad = vector.valid & ((vector.data < 1) | (vector.data > k))
-            if bad.any():
-                code = int(vector.data[np.argmax(bad)])
-                raise ExecutionError(
-                    f"dummy_code expects recoded values in 1..{k}, "
-                    f"got {code!r} (recode the column first)"
-                )
-            ones = np.ones(n, dtype=np.bool_)
+            codes = _recoded(vector, k)
             for value in range(1, k + 1):
                 # NULL input produces all-zero (non-NULL) indicators.
-                indicator = (vector.valid & (vector.data == value)).astype(np.int64)
+                indicator = (vector.valid & (codes == value)).astype(np.int64)
                 out_vectors.append(ColumnVector(DataType.INT, indicator, ones))
         out_schema = self.output_schema(input_schema, args)
         return ColumnBatch.from_columns(out_schema, out_vectors, n)
@@ -140,3 +92,23 @@ class DummyCodeUDF(TableUDF):
         if len(args) < 2:
             raise ExecutionError("dummy_code needs a map handle and >=1 column")
         return str(args[0]), [str(a) for a in args[1:]]
+
+
+def _recoded(vector: ColumnVector, k: int) -> np.ndarray:
+    """A recoded column's codes as int64 (0 where NULL), raising at its
+    first value that is not an ``int`` in 1..k."""
+    if vector.dtype in (DataType.INT, DataType.BIGINT) and not vector.is_object:
+        codes = vector.data
+        fits = (codes >= 1) & (codes <= k)
+    else:  # Python values: an int, a bool or anything else
+        values = vector.to_pylist()
+        fits = np.array([isinstance(v, int) and 1 <= v <= k for v in values], np.bool_)
+        codes = np.array([int(v) if ok else 0 for v, ok in zip(values, fits)], np.int64)
+    bad = vector.valid & ~fits
+    if bad.any():
+        code = vector.take([int(np.argmax(bad))]).to_pylist()[0]
+        raise ExecutionError(
+            f"dummy_code expects recoded values in 1..{k}, "
+            f"got {code!r} (recode the column first)"
+        )
+    return codes

@@ -13,10 +13,9 @@ here they are, as the same kind of single-pass parallel table UDFs.
   Gram-Schmidt — the classic trend contrasts for ordered categories.
 """
 
-from collections.abc import Iterable
-
 import numpy as np
 
+from repro.columnar.batch import ColumnBatch, ColumnVector
 from repro.common.errors import ExecutionError
 from repro.sql.types import Column, DataType, Schema
 from repro.sql.udf import TableUDF, UdfContext
@@ -61,6 +60,7 @@ class _ContrastCodeUDF(TableUDF):
     #: subclass hooks
     suffixes: str = "c"
     out_type: DataType = DataType.INT
+    min_levels: int = 0  # fewer levels than this reject every non-NULL code
 
     def __init__(self, transforms: TransformService):
         self._transforms = transforms
@@ -85,34 +85,40 @@ class _ContrastCodeUDF(TableUDF):
                 out.append(column)
         return Schema(out)
 
-    def process_partition(
-        self, rows: Iterable[tuple], input_schema: Schema, args: tuple, ctx: UdfContext
-    ) -> Iterable[tuple]:
+    def process_batch(self, batch, input_schema: Schema, args: tuple, ctx: UdfContext):
+        """Each recoded column's codes gather rows of its K x (K-1) contrast
+        matrix by ``codes - 1``; a NULL code gives NULL outputs.  A code the
+        coding rejects raises its error, the first in row-major order."""
         handle, columns = self._parse_args(args)
         recode_map: RecodeMap = self._transforms.get(handle)
         targets = {c.lower() for c in columns}
-        layout: list[tuple[int | None, int]] = []
-        cardinalities: dict[int, int] = {}
-        for i, column in enumerate(input_schema):
-            if column.name.lower() in targets:
-                cardinalities[i] = len(recode_map.mapping_or_empty(column.name))
-                layout.append((cardinalities[i], i))
-            else:
-                layout.append((None, i))
-        for row in rows:
-            out: list = []
-            for k, index in layout:
-                if k is None:
-                    out.append(row[index])
-                    continue
-                code = row[index]
-                if code is None:
-                    out.extend([None] * (k - 1))
-                else:
-                    out.extend(self._encode(int(code), k))
-            yield tuple(out)
+        first_errors: list[tuple[int, int, int, int]] = []  # (row, position, code, k)
+        out_vectors: list[ColumnVector] = []
+        for position, (column, vector) in enumerate(zip(input_schema, batch.columns)):
+            if column.name.lower() not in targets:
+                out_vectors.append(vector)
+                continue
+            k = len(recode_map.mapping_or_empty(column.name))
+            codes = _codes(vector)
+            wrong = vector.valid & ((codes < 1) | (codes > k) | (k < self.min_levels))
+            if wrong.any():
+                row = int(np.argmax(wrong))
+                first_errors.append((row, position, int(codes[row]), k))
+                continue
+            if k > 1:
+                at = np.where(vector.valid, codes - 1, 0).astype(np.int64)
+                block = np.take(self._matrix(k).T, at, axis=1)
+                out_vectors.extend(ColumnVector(self.out_type, b, vector.valid) for b in block)
+        if first_errors:
+            _row, _position, code, k = min(first_errors)
+            self._matrix(k)  # orthogonal coding raises its k < 2 error here
+            coding = self.name.removesuffix("_code")
+            raise ExecutionError(f"{coding} coding expects 1..{k}, got {code}")
+        out_schema = self.output_schema(input_schema, args)
+        return ColumnBatch.from_columns(out_schema, out_vectors, batch.num_rows)
 
-    def _encode(self, code: int, k: int) -> list:
+    def _matrix(self, k: int) -> np.ndarray:
+        """The K x (K-1) matrix whose row ``code - 1`` codes ``code``."""
         raise NotImplementedError
 
     @staticmethod
@@ -129,8 +135,8 @@ class EffectCodeUDF(_ContrastCodeUDF):
     suffixes = "e"
     out_type = DataType.INT
 
-    def _encode(self, code: int, k: int) -> list:
-        return effect_row(code, k)
+    def _matrix(self, k: int) -> np.ndarray:
+        return np.array([effect_row(code, k) for code in range(1, k + 1)])
 
 
 class OrthogonalCodeUDF(_ContrastCodeUDF):
@@ -139,16 +145,15 @@ class OrthogonalCodeUDF(_ContrastCodeUDF):
     name = "orthogonal_code"
     suffixes = "o"
     out_type = DataType.DOUBLE
+    min_levels = 2
 
-    def __init__(self, transforms: TransformService):
-        super().__init__(transforms)
-        self._matrices: dict[int, np.ndarray] = {}
+    def _matrix(self, k: int) -> np.ndarray:
+        return orthogonal_contrast_matrix(k)
 
-    def _encode(self, code: int, k: int) -> list:
-        matrix = self._matrices.get(k)
-        if matrix is None:
-            matrix = orthogonal_contrast_matrix(k)
-            self._matrices[k] = matrix
-        if not 1 <= code <= k:
-            raise ExecutionError(f"orthogonal coding expects 1..{k}, got {code}")
-        return [float(x) for x in matrix[code - 1]]
+
+def _codes(vector: ColumnVector) -> np.ndarray:
+    """A recoded column's codes: its int64 array, or ``int()`` of each value
+    (0 for NULL) where the column is not typed INT."""
+    if vector.dtype in (DataType.INT, DataType.BIGINT) and not vector.is_object:
+        return vector.data
+    return np.array([0 if v is None else int(v) for v in vector.to_pylist()], dtype=object)

@@ -17,7 +17,11 @@ Phase 2 — apply the map.  Two interchangeable implementations:
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import repeat
 
+import numpy as np
+
+from repro.columnar.batch import ColumnBatch, ColumnVector
 from repro.common.errors import ExecutionError, TransformError
 from repro.sql.types import Column, DataType, Schema
 from repro.sql.udf import TableUDF, UdfContext
@@ -110,40 +114,24 @@ class LocalDistinctUDF(TableUDF):
             ("colName", DataType.VARCHAR), ("colVal", DataType.VARCHAR)
         )
 
-    def process_partition(
-        self, rows: Iterable[tuple], input_schema: Schema, args: tuple, ctx: UdfContext
-    ) -> Iterable[tuple]:
-        indexes = self._column_indexes(input_schema, args)
-        seen: set[tuple[str, str]] = set()
-        for row in rows:
-            for col_name, index in indexes:
-                value = row[index]
-                if value is None:
-                    continue
-                seen.add((col_name, value))
-        return sorted(seen)
-
     def process_batch(self, batch, input_schema: Schema, args: tuple, ctx: UdfContext):
-        """Columnar phase 1: the local distincts of a dictionary-encoded
-        column are just its *used* dictionary words — one ``np.unique`` over
-        the code array instead of a per-row set insert."""
-        import numpy as np
-
-        from repro.sql.types import DataType
-
+        """The local distincts of a dictionary-encoded column are just its
+        *used* dictionary words — one ``np.unique`` over the code array
+        instead of a per-row set insert."""
         indexes = self._column_indexes(input_schema, args)
         seen: set[tuple[str, str]] = set()
         for col_name, index in indexes:
             vector = batch.columns[index]
-            if vector.dtype is DataType.VARCHAR and vector.dictionary is not None:
-                words = vector.dictionary
-                for code in np.unique(vector.data[vector.valid]).tolist():
-                    seen.add((col_name, words[code]))
+            if vector.dictionary is None:
+                values = set(vector.to_pylist()) - {None}
             else:
-                for value in vector.to_pylist():
-                    if value is not None:
-                        seen.add((col_name, value))
-        return sorted(seen)
+                codes = np.unique(vector.data[vector.valid]).tolist()
+                values = {vector.dictionary[code] for code in codes}
+            seen.update((col_name, value) for value in values)
+        rows = sorted(seen)
+        return ColumnBatch.from_pylists(
+            self.output_schema(input_schema, args), zip(*rows) if rows else ((), ()), len(rows)
+        )
 
     @staticmethod
     def _column_indexes(schema: Schema, args: tuple) -> list[tuple[str, int]]:
@@ -185,75 +173,19 @@ class RecodeUDF(TableUDF):
                 out.append(column)
         return Schema(out)
 
-    def process_partition(
-        self, rows: Iterable[tuple], input_schema: Schema, args: tuple, ctx: UdfContext
-    ) -> Iterable[tuple]:
-        handle, columns, policy = self._parse_args(args)
-        recode_map: RecodeMap = self._transforms.get(handle)
-        col_maps: list[tuple[str, int, dict]] = [
-            (c, input_schema.resolve(None, c), recode_map.mapping_or_empty(c))
-            for c in columns
-        ]
-        nulled = 0
-        skipped = 0
-        try:
-            for row in rows:
-                out = list(row)
-                drop = False
-                for col_name, index, mapping in col_maps:
-                    value = out[index]
-                    if value is None:
-                        out[index] = None
-                        continue
-                    code = mapping.get(value)
-                    if code is None:
-                        if policy == "error":
-                            raise TransformError(
-                                f"unseen value {value!r} in recoded column "
-                                f"{col_name!r}",
-                                column=col_name,
-                                value=value,
-                            )
-                        if policy == "skip_row":
-                            drop = True
-                            break
-                        nulled += 1
-                    out[index] = code
-                if drop:
-                    skipped += 1
-                    continue
-                yield tuple(out)
-        finally:
-            # Charge counts even when erroring out, so partial progress is
-            # visible in the fault postmortem.
-            if nulled:
-                ctx.ledger.add("transform.unseen_nulled", nulled)
-            if skipped:
-                ctx.ledger.add("transform.rows_skipped", skipped)
-
     def process_batch(self, batch, input_schema: Schema, args: tuple, ctx: UdfContext):
-        """Columnar recode: remap each target column's *dictionary* (K words)
-        instead of its value array (N rows) — the O(cardinality) payoff of
-        keeping VARCHAR dictionary-encoded end-to-end."""
-        import numpy as np
-
-        from repro.columnar.batch import ColumnBatch, ColumnVector
-        from repro.sql.types import DataType
-
+        """Remap each target column's *dictionary* (K words) instead of its
+        value array (N rows) — the O(cardinality) payoff of keeping VARCHAR
+        dictionary-encoded end-to-end.  A column without a dictionary (an
+        ``object`` or non-VARCHAR column) looks each value up."""
         handle, columns, policy = self._parse_args(args)
         recode_map: RecodeMap = self._transforms.get(handle)
-        out_schema = self.output_schema(input_schema, args)
         indexes = {input_schema.resolve(None, c): c for c in columns}
-        for index in indexes:
-            vector = batch.columns[index]
-            if vector.dtype is not DataType.VARCHAR or vector.dictionary is None:
-                return None  # odd input shape: use the row path
-        drop = (
-            np.zeros(batch.num_rows, dtype=np.bool_) if policy == "skip_row" else None
-        )
-        # (row, column position, column, word) candidates for policy=error —
+        n = batch.num_rows
+        drop = np.zeros(n, dtype=np.bool_) if policy == "skip_row" else None
+        # (row, column position, column, value) candidates for policy=error —
         # resolved after the scan so the raise matches row-major order.
-        first_errors: list[tuple[int, int, str, str]] = []
+        first_errors: list[tuple[int, int, str, object]] = []
         out_vectors: list[ColumnVector] = []
         nulled = 0
         for index, vector in enumerate(batch.columns):
@@ -262,47 +194,38 @@ class RecodeUDF(TableUDF):
                 out_vectors.append(vector)
                 continue
             mapping = recode_map.mapping_or_empty(col_name)
-            words = vector.dictionary or []
-            # Codes are 1..K, so 0 marks an unseen dictionary word.
-            word_codes = np.fromiter(
-                (mapping.get(w, 0) for w in words), dtype=np.int64, count=len(words)
-            )
-            data = (
-                word_codes[np.clip(vector.data, 0, None)]
-                if len(words)
-                else np.zeros(batch.num_rows, dtype=np.int64)
-            )
+            # Codes are 1..K, so 0 marks an unseen value (and NULL).
+            if vector.dictionary is None:
+                data = np.fromiter(map(mapping.get, vector.to_pylist(), repeat(0)), np.int64, n)
+            else:
+                words = vector.dictionary
+                word_codes = np.fromiter(map(mapping.get, words, repeat(0)), np.int64, len(words))
+                data = word_codes[np.clip(vector.data, 0, None)] if words else np.zeros(n, np.int64)
             unseen = vector.valid & (data == 0)
             if unseen.any():
                 if policy == "error":
                     row = int(np.argmax(unseen))
-                    first_errors.append(
-                        (row, columns.index(col_name), col_name, words[vector.data[row]])
-                    )
+                    value = vector.take([row]).to_pylist()[0]
+                    first_errors.append((row, columns.index(col_name), col_name, value))
                 elif policy == "skip_row":
                     drop |= unseen
                 else:
                     nulled += int(unseen.sum())
-            out_vectors.append(
-                ColumnVector(DataType.INT, data, vector.valid & ~unseen)
+            out_vectors.append(ColumnVector(DataType.INT, data, vector.valid & ~unseen))
+        if first_errors:  # policy=error: nothing was nulled or skipped
+            _row, _pos, col_name, value = min(first_errors)
+            raise TransformError(
+                f"unseen value {value!r} in recoded column {col_name!r}",
+                column=col_name,
+                value=value,
             )
-        try:
-            if first_errors:
-                _row, _pos, col_name, value = min(first_errors)
-                raise TransformError(
-                    f"unseen value {value!r} in recoded column {col_name!r}",
-                    column=col_name,
-                    value=value,
-                )
-            out = ColumnBatch.from_columns(out_schema, out_vectors, batch.num_rows)
-            if drop is not None and drop.any():
-                return out.filter(~drop)
-            return out
-        finally:
-            if nulled:
-                ctx.ledger.add("transform.unseen_nulled", nulled)
-            if drop is not None and drop.any():
-                ctx.ledger.add("transform.rows_skipped", int(drop.sum()))
+        if nulled:
+            ctx.ledger.add("transform.unseen_nulled", nulled)
+        out = ColumnBatch.from_columns(self.output_schema(input_schema, args), out_vectors, n)
+        if drop is not None and drop.any():
+            ctx.ledger.add("transform.rows_skipped", int(drop.sum()))
+            return out.filter(~drop)
+        return out
 
     @staticmethod
     def _parse_args(args: tuple) -> tuple[str, list[str], str]:

@@ -2,6 +2,11 @@
 for DISTINCT, GROUP BY, aggregates and ANALYZE, one ordering for ORDER BY,
 and no operator that hands on anything but batches."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import make_deployment
@@ -9,8 +14,9 @@ from repro.cluster.cluster import make_paper_cluster
 from repro.columnar.batch import ColumnBatch
 from repro.sql.engine import BigSQL
 from repro.sql.executor import Executor
-from repro.sql.types import DataType, Schema, estimate_rows_bytes
+from repro.sql.types import DataType, Schema
 from repro.workloads import generate_retail
+from tests.byte_oracle import estimate_rows_bytes
 
 from tests.test_sql_differential import FIXED_T1, FIXED_T2, QUERIES, run_ours
 
@@ -137,3 +143,33 @@ def test_analyze_reads_the_batches():
         assert (stats.row_count, stats.avg_row_bytes, stats.ndv) == _seed_stats(rows, schema)
     stats = _engine(DV_SCHEMA, [(d, i % 5) for i, d in enumerate(DOUBLES)]).analyze("t")
     assert stats.ndv == {"d": 3, "v": 5}
+
+
+NULL_PLACEMENT = """
+from repro.cluster.cluster import make_paper_cluster
+from repro.sql.engine import BigSQL
+from repro.sql.types import DataType, Schema
+
+engine = BigSQL(make_paper_cluster())
+schema = Schema.of(("grp", DataType.INT), ("name", DataType.VARCHAR))
+engine.create_table("t", schema, [(i % 24, None if i % 3 else f"n{i % 4}") for i in range(96)])
+relation = engine.execute_distributed("SELECT DISTINCT grp, name FROM t")
+print([batch.to_rows() for batch in relation.partitions], engine.cluster.ledger.get("sql.shuffle"))
+"""
+
+
+def test_null_keys_are_placed_alike_in_every_process():
+    """A NULL key part is placed by a hash that does not depend on the
+    process (``hash(None)`` is an address before CPython 3.12), so two fresh
+    interpreters put every DISTINCT row on the same slot and charge the same
+    ``sql.shuffle``."""
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", NULL_PLACEMENT], env=env, capture_output=True, text=True,
+            check=True,
+        ).stdout
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1]
+    assert "None" in runs[0]

@@ -18,7 +18,6 @@ import pickle
 import re
 import sqlite3
 import struct
-import sys
 
 import numpy as np
 import pytest
@@ -37,9 +36,8 @@ from repro.sql import vectorized
 from repro.sql.engine import BigSQL
 from repro.sql.executor import Executor
 from repro.sql.expressions import Expr
-from repro.sql.table import Partition, Table
 from repro.sql.udf import TableUDF
-from repro.sql.types import DataType, Schema, estimate_row_bytes, estimate_rows_bytes
+from repro.sql.types import DataType, Schema
 from repro.transfer.buffers import (
     block_logical_bytes,
     decode_block,
@@ -51,6 +49,7 @@ from repro.transfer.channel import ChannelId, StreamChannel
 from repro.transform.spec import TransformSpec
 from repro.workloads import generate_retail
 
+from tests.byte_oracle import estimate_row_bytes, estimate_rows_bytes
 from tests.test_sql_differential import (
     QUERIES,
     T1_SCHEMA,
@@ -281,7 +280,8 @@ def _reference_join(a_rows, b_rows, sql, n, threshold):
     (the right one of a LEFT or a shuffle join); a broadcast
     join probes each slot against the whole build side, a shuffle join first
     moves every row to slot ``hash(key tuple) % n``, a NULL or NaN key part
-    as ``None``; per slot a nested loop, probe rows, then build rows."""
+    as the executor's ``_NULL_PART``; per slot a nested loop, probe rows,
+    then build rows."""
     select, rest = sql.removeprefix("SELECT ").split(" FROM ")
     conditions = [c.split() for c in rest.partition(" ON ")[2].split(" AND ") if c]
     keys = {t: [c[0 if t == "a" else 2] for c in conditions if c[1] == "="] for t in "ab"}
@@ -318,7 +318,8 @@ def _reference_join(a_rows, b_rows, sql, n, threshold):
             placed = [[] for _ in range(n)]
             for source, slot in enumerate(slots[t]):
                 for row in slot:
-                    target = hash(key(t, row)) % n
+                    null = executor_module._NULL_PART
+                    target = hash(tuple(null if v is None else v for v in key(t, row))) % n
                     shuffle += size(t, row) if target != source else 0
                     placed[target].append(row)
             slots[t] = placed
@@ -432,7 +433,7 @@ def test_nan_join_keys_place_like_null_and_never_match(monkeypatch, kernels):
         18
         for keys in (a_keys, b_keys)
         for i, k in enumerate(keys)
-        if hash((None if k != k else k,)) % n != i % n
+        if hash((executor_module._NULL_PART if k != k else k,)) % n != i % n
     )
     assert [(rows, shuffle) for rows, shuffle, _n in runs] == [(expected, charge)] * 3
 
@@ -572,20 +573,13 @@ def _run_pipeline(columnar):
     return dep, result
 
 
-# The UDF seam: the one place a table UDF's row output (pass 1's local
-# distincts, the per-worker transfer summary) is batched.
-_UDF_SEAM = "Executor._exec_table_function.<locals>.run_udf"
-
-
 def pivot_at_the_edges_only(monkeypatch, forbidden) -> None:
-    """Call ``forbidden`` for every row pivot but the engine's two edges: a
-    table UDF's rows batched at the UDF seam (by caller, not by column
-    names, which pass 1's ``SELECT DISTINCT colName, colVal`` shares), and
-    the rows of a query's result."""
+    """Call ``forbidden`` for every row pivot but a query's result rows:
+    every built-in table UDF is a batch kernel, and stored tables are
+    batches, so nothing on a pipeline builds a batch from rows."""
     results: list[ColumnBatch] = []
     execute_distributed = BigSQL.execute_distributed
     to_rows = ColumnBatch.to_rows
-    from_rows = ColumnBatch.from_rows.__func__
 
     def recorded(self, query):
         relation = execute_distributed(self, query)
@@ -597,14 +591,12 @@ def pivot_at_the_edges_only(monkeypatch, forbidden) -> None:
             forbidden(self)
         return to_rows(self)
 
-    def summary_batch(cls, schema, rows):
-        if sys._getframe(1).f_code.co_qualname != _UDF_SEAM:
-            forbidden(schema, rows)
-        return from_rows(cls, schema, rows)
+    def rows_in(cls, schema, rows):
+        forbidden(schema, rows)
 
     monkeypatch.setattr(BigSQL, "execute_distributed", recorded)
     monkeypatch.setattr(ColumnBatch, "to_rows", result_rows)
-    monkeypatch.setattr(ColumnBatch, "from_rows", classmethod(summary_batch))
+    monkeypatch.setattr(ColumnBatch, "from_rows", classmethod(rows_in))
 
 
 @pytest.mark.parametrize("transport", ["memory", "socket"])
@@ -612,7 +604,7 @@ def test_columnar_pipeline_builds_no_row_tuple(monkeypatch, transport):
     """scan -> filter -> join -> project -> transform UDFs -> ``C`` frame ->
     ``batch_to_xy``: the retail prep query and its two follow-ups reach the
     trainer without one pivot into or out of row tuples, on either transport
-    (the UDF summaries and the query results are the engine's edges) — and
+    (but the query results, the engine's row-out edge) — and
     without one ``str`` per field: a plain table never takes the text scan's
     general path."""
     row_dep, row_result = _run_pipeline(columnar=False)
@@ -653,7 +645,7 @@ def test_columnar_pipeline_builds_no_row_tuple(monkeypatch, transport):
 def test_default_pipeline_runs_the_vector_kernels(monkeypatch, transport):
     """The default deployment runs the same SQL engine and the same sink:
     scan -> filter -> join -> project -> transform UDFs -> ``C`` frames
-    build no row tuple (but at the engine's edges), bind no tuple evaluator
+    build no row tuple (but a query's result rows), bind no tuple evaluator
     over data, key no join by Python values and take no fallback; no UDF
     declines its batch, so no batch pivots into rows on the stream path —
     and every SQL-side and stream ledger category equals the one of a
@@ -707,6 +699,37 @@ def test_default_pipeline_runs_the_vector_kernels(monkeypatch, transport):
     assert [ledger.get("columnar.fallback") for ledger in ledgers] == [0, 0]
     for category in ("sql.scan", "sql.shuffle", "sql.output", "stream.sent", "ml.ingest"):
         assert ledgers[0].get(category) == ledgers[1].get(category) > 0, category
+
+
+@pytest.mark.parametrize("transport", ["memory", "socket"])
+def test_cached_pipeline_builds_no_row_tuple(monkeypatch, transport):
+    """Section 5's cached transformed result is a materialized view, stored
+    as batches: the three retail queries answered from a warm cache scan it
+    and reach the trainer without one pivot into or out of row tuples."""
+    dep = make_deployment(transport=transport)
+    wl = generate_retail(dep.engine, dep.dfs, num_users=80, num_carts=600)
+    dep.pipeline.populate_caches(wl.prep_sql, wl.spec, cache_transformed=True)
+    pivots = []
+
+    def forbidden(*args, **kwargs):
+        pivots.append(args)
+        pytest.fail("a cached query pivoted through row tuples")
+
+    pivot_at_the_edges_only(monkeypatch, forbidden)
+    subset_spec = TransformSpec(recode=("abandoned",), dummy=(), label="abandoned")
+    results = [
+        dep.pipeline.run_insql_stream(
+            sql, spec, command="svm_with_sgd", args={"iterations": 3}, use_cache=True
+        )
+        for sql, spec in (
+            (wl.prep_sql, wl.spec),
+            (wl.subset_sql, subset_spec),
+            (wl.recode_reuse_sql, wl.spec),
+        )
+    ]
+    assert pivots == []  # also when a thread swallowed the failure
+    assert sum(r.lineage.cached_view is not None for r in results) == 2
+    assert dep.cluster.ledger.get("columnar.fallback") == 0
 
 
 def test_columnar_pipeline_end_to_end():
@@ -796,19 +819,6 @@ def test_in_memory_values_without_typed_storage_keep_their_rows(monkeypatch, row
     assert sum(c.is_object for p in scans for c in p.columns) == 1
 
 
-def test_a_table_with_another_partition_count_is_dealt_out_to_every_slot():
-    engine = BigSQL(make_paper_cluster())
-    rows = MEMO_ROWS + [(2**70, "big", 0.0)]
-    parts = [Partition(rows=rows[i::3], worker_id=i) for i in range(3)]
-    engine.catalog.add_table(Table("m", MEMO_SCHEMA, partitions=parts))
-    relation = engine.execute_distributed("SELECT k, s FROM m")
-    assert len(relation.partitions) == engine.num_workers != 3
-    assert all(isinstance(p, ColumnBatch) for p in relation.partitions)
-    assert sorted(relation.all_rows()) == sorted(r[:2] for r in rows)
-    # the projection of the slot with 2**70 runs the tuple evaluator
-    assert engine.cluster.ledger.get("columnar.fallback") == 1
-
-
 class _Echo(TableUDF):
     """A UDF with no batch kernel: echoes its rows, keeping them by slot."""
 
@@ -848,8 +858,7 @@ def test_a_udf_without_a_batch_kernel_gets_row_partitions_as_they_are(monkeypatc
     assert echo.seen == {0: expected, **{w: [] for w in range(1, engine.num_workers)}}
     assert all(isinstance(p, ColumnBatch) for p in relation.partitions)
     assert relation.all_rows() == expected
-    # the scan's pivot of each slot, then the seam's
+    # the seam's pivot of each slot's output, and no other
     n = engine.num_workers
-    assert pivots[:n] == [3] * n
-    assert sorted(pivots[n:]) == [0] * (n - 1) + [len(MEMO_ROWS)]
+    assert sorted(pivots) == [0] * (n - 1) + [len(MEMO_ROWS)]
     assert engine.cluster.ledger.get("columnar.fallback") == 0

@@ -107,7 +107,7 @@ class TestJaqlTransform:
             f"({prep}), 'm', 'gender', 'abandoned')) AS r), 'm', 'gender')) AS d"
         )
         # Jaql path over the materialized prep result
-        result_table = engine.execute(prep)
+        result_table = engine.execute_distributed(prep)
         lines = [
             ",".join(
                 dt.render(v)

@@ -7,7 +7,8 @@ from repro.cluster.cluster import make_paper_cluster
 from repro.common import errors
 from repro.common.errors import TransferError
 from repro.hdfs.filesystem import DistributedFileSystem
-from repro.sql.table import ExternalLocation, Partition, Table, partition_rows
+from repro.columnar.batch import ColumnBatch
+from repro.sql.table import ExternalLocation, Table
 from repro.sql.types import DataType, Schema
 
 
@@ -54,14 +55,13 @@ class TestDfsReaderPosition:
 
 
 class TestTableHelpers:
-    def test_partition_rows_round_robin(self):
-        partitions = partition_rows([(i,) for i in range(10)], 3)
-        assert [len(p) for p in partitions] == [4, 3, 3]
-        assert [p.worker_id for p in partitions] == [0, 1, 2]
-
-    def test_partition_rows_invalid(self):
-        with pytest.raises(ValueError):
-            partition_rows([], 0)
+    def test_partition_rows_round_robin(self, engine):
+        """``create_table`` deals row ``i`` to slot ``i % n``."""
+        table = engine.create_table("t", Schema.of(("x", DataType.INT)), [(i,) for i in range(10)])
+        assert engine.num_workers == 4
+        assert [p.columns[0].to_pylist() for p in table.partitions] == [
+            [0, 4, 8], [1, 5, 9], [2, 6], [3, 7]
+        ]
 
     def test_table_must_be_memory_xor_external(self):
         schema = Schema.of(("x", DataType.INT))
@@ -71,7 +71,7 @@ class TestTableHelpers:
             Table(
                 "t",
                 schema,
-                partitions=[Partition([])],
+                partitions=[],
                 external=ExternalLocation("/p"),
             )
 
@@ -81,13 +81,12 @@ class TestTableHelpers:
         with pytest.raises(Exception):
             table.num_rows()
         with pytest.raises(Exception):
-            table.all_rows()
-        with pytest.raises(Exception):
             table.estimated_bytes()
 
     def test_partition_estimated_bytes(self):
-        partition = Partition([(1, "ab"), (2, "cd")])
-        assert partition.estimated_bytes() == 2 * (2 + 8 + 6)
+        schema = Schema.of(("x", DataType.INT), ("s", DataType.VARCHAR))
+        partition = ColumnBatch.from_rows(schema, [(1, "ab"), (2, "cd")])
+        assert Table("t", schema, partitions=[partition]).estimated_bytes() == 2 * (2 + 8 + 6)
 
 
 class TestBrokerUdfValidation:

@@ -1,10 +1,14 @@
 """Engine facade: DDL, UDF registration, materialized views, versions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cluster.cluster import make_paper_cluster
 from repro.common.errors import CatalogError
+from repro.sql.engine import BigSQL
 from repro.sql.types import DataType, Schema
 from repro.sql.udf import TableUDF
+from tests.byte_oracle import estimate_rows_bytes
 
 
 class TestDdl:
@@ -37,29 +41,6 @@ class TestDdl:
         assert engine.catalog.get_entry("t").version == 1
         assert sorted(engine.query_rows("SELECT x FROM t")) == [(1,), (2,), (3,)]
 
-    def test_byte_estimate_is_computed_once_and_moved_by_insert(self, engine, monkeypatch):
-        """Planning and scanning an in-memory table read one cached estimate;
-        ``insert_rows`` drops it with the version bump, and the charged bytes
-        are what a fresh count gives."""
-        import repro.sql.table as table_module
-
-        table = engine.create_table("t", Schema.of(("x", DataType.INT)), [(1,), (2,)])
-        counted = []
-        estimate = table_module.estimate_rows_bytes
-        monkeypatch.setattr(
-            table_module, "estimate_rows_bytes", lambda rows: counted.append(1) or estimate(rows)
-        )
-        ledger = engine.cluster.ledger
-        before = ledger.get("sql.scan")
-        for _ in range(3):
-            engine.query_rows("SELECT x FROM t")
-        first = table.estimated_bytes()
-        assert len(counted) == len(table.partitions)  # one count, for all plans and scans
-        assert ledger.get("sql.scan") - before == 3 * first
-        engine.insert_rows("t", [(3,), (4,)])
-        assert table.estimated_bytes() == estimate(table.all_rows()) > first
-        assert len(counted) == 2 * len(table.partitions)
-
     def test_insert_into_external_rejected(self, engine, dfs):
         dfs.write_text("/e.csv", "1\n")
         engine.register_external_table("e", Schema.of(("x", DataType.INT)), "/e.csv")
@@ -72,6 +53,55 @@ class TestDdl:
         engine = BigSQL(cluster, dfs=None)
         with pytest.raises(CatalogError, match="DFS"):
             engine.register_external_table("e", Schema.of(("x", DataType.INT)), "/e")
+
+
+EDGE_SCHEMA = Schema.of(
+    ("i", DataType.INT), ("d", DataType.DOUBLE), ("s", DataType.VARCHAR), ("b", DataType.BOOLEAN)
+)
+#: per column: values its typed storage holds, and values it does not (2**70
+#: and a bool in the INT column, an int in the VARCHAR column)
+EDGE_ROWS = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(-(2**63), 2**63 - 1), st.just(2**70), st.booleans()),
+        st.one_of(st.none(), st.floats(), st.just(-0.0), st.integers(-(2**60), 2**60)),
+        st.one_of(st.none(), st.text(max_size=4), st.integers(-3, 3)),
+        st.one_of(st.none(), st.booleans()),
+    ),
+    max_size=9,
+)
+
+
+def _typed(row: tuple) -> str:
+    """A row's values with their types (NaN equal to NaN, -0.0 apart from 0.0)."""
+    return repr([(type(v).__name__, v) for v in row])
+
+
+class TestRowEdges:
+    """Rows enter a table at ``create_table`` / ``insert_rows`` and leave a
+    query at ``query_rows``; between the two they are read-only batches."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(first=EDGE_ROWS, inserts=st.lists(EDGE_ROWS, max_size=3))
+    def test_rows_come_back_as_stored_and_every_scan_charges_them(self, first, inserts):
+        engine = BigSQL(make_paper_cluster())
+        engine.create_table("t", EDGE_SCHEMA, first)
+        stored = list(first)
+        ledger = engine.cluster.ledger
+        for rows in [[]] + inserts:
+            engine.insert_rows("t", rows)
+            stored += rows
+            before = ledger.get("sql.scan")
+            got = engine.query_rows("SELECT * FROM t")
+            assert ledger.get("sql.scan") - before == estimate_rows_bytes(stored)
+        # an int in the DOUBLE column is stored as the float a scan returns
+        expected = [(i, float(d) if type(d) is int else d, s, b) for i, d, s, b in stored]
+        assert sorted(map(_typed, got)) == sorted(map(_typed, expected))
+        for batch in engine.catalog.get_table("t").partitions:  # what every scan hands out
+            for column in batch.columns:
+                with pytest.raises(ValueError, match="read-only"):
+                    column.data[...] = column.data
+                with pytest.raises(ValueError, match="read-only"):
+                    column.valid[...] = True
 
 
 class TestScalarUdfs:

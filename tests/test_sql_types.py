@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import PlanError
-from repro.sql.types import (
-    Column,
-    DataType,
-    Schema,
-    estimate_row_bytes,
-    estimate_rows_bytes,
-    estimate_value_bytes,
-)
+from repro.sql.types import Column, DataType, Schema, estimate_value_bytes
+from tests.byte_oracle import estimate_row_bytes, estimate_rows_bytes
 
 
 class TestDataType:

@@ -45,8 +45,10 @@ class TestExecution:
         assert sorted(rows) == [(1,), (2,), (2,), (3,)]  # duplicates kept
 
     def test_schema_from_first_branch(self, union_engine):
-        table = union_engine.execute("SELECT x, s FROM a UNION ALL SELECT y, t FROM b")
-        assert table.schema.names == ["x", "s"]
+        relation = union_engine.execute_distributed(
+            "SELECT x, s FROM a UNION ALL SELECT y, t FROM b"
+        )
+        assert relation.schema.names == ["x", "s"]
 
     def test_branches_with_filters_and_expressions(self, union_engine):
         rows = union_engine.query_rows(

@@ -1,10 +1,14 @@
 """Dummy coding (§2.2) and the effect/orthogonal contrast codings."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.cluster import make_paper_cluster
 from repro.common.errors import ExecutionError
+from repro.sql.engine import BigSQL
 from repro.sql.types import DataType, Schema
 from repro.transform import (
     DummyCodeUDF,
@@ -91,15 +95,13 @@ class TestDummyCoding:
             "k4",
             RecodeMap.from_distinct_rows([("c", v) for v in ["p", "q", "r", "s"]]),
         )
-        udf = DummyCodeUDF(transforms)
-        schema = Schema.of(("c", DataType.INT))
-        from repro.sql.udf import UdfContext
-        from repro.cluster.cluster import make_paper_cluster
-
-        cluster = make_paper_cluster()
-        ctx = UdfContext(0, 1, cluster.workers[0], cluster.ledger)
-        out = list(udf.process_partition([(c,) for c in codes], schema, ("k4", "c"), ctx))
-        for code, row in zip(codes, out):
+        engine = BigSQL(make_paper_cluster())
+        engine.register_table_udf(DummyCodeUDF(transforms))
+        schema = Schema.of(("i", DataType.INT), ("c", DataType.INT))
+        engine.create_table("t", schema, list(enumerate(codes)))
+        out = engine.query_rows("SELECT * FROM TABLE(dummy_code(t, 'k4', 'c')) AS d ORDER BY i")
+        assert [row[0] for row in out] == list(range(len(codes)))
+        for code, (_i, *row) in zip(codes, out):
             assert sum(row) == 1
             assert row[code - 1] == 1
 
@@ -163,3 +165,61 @@ class TestOrthogonalCoding:
         expected = {tuple(np.round(matrix[c - 1], 10)) for c in (1, 2, 3)}
         got = {tuple(np.round(row, 10)) for row in rows}
         assert got == expected
+
+
+class TestContrastCodingDifferential:
+    """``effect_code`` / ``orthogonal_code`` through SQL against the row
+    formulas they are built from: a column with NULLs and every level
+    present, row by row, and the coding's own error for a code out of range."""
+
+    @staticmethod
+    def _engine(k: int) -> BigSQL:
+        transforms = TransformService()
+        transforms.register("h", RecodeMap.from_distinct_rows([("c", f"v{i}") for i in range(k)]))
+        engine = BigSQL(make_paper_cluster())
+        engine.register_table_udf(EffectCodeUDF(transforms))
+        engine.register_table_udf(OrthogonalCodeUDF(transforms))
+        return engine
+
+    @staticmethod
+    def _formula(coding: str, code: int, k: int) -> list:
+        if coding == "effect":
+            return effect_row(code, k)
+        return [float(x) for x in orthogonal_contrast_matrix(k)[code - 1]]
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("coding", ["effect", "orthogonal"])
+    def test_rows_equal_the_row_formula(self, coding, k):
+        engine = self._engine(k)
+        codes = [None if i % 4 == 3 else i % k + 1 for i in range(3 * k + 4)]
+        schema = Schema.of(("i", DataType.INT), ("c", DataType.INT))
+        engine.create_table("t", schema, list(enumerate(codes)))
+        sql = f"SELECT * FROM TABLE({coding}_code(t, 'h', 'c')) AS e ORDER BY i"
+        if coding == "orthogonal" and k < 2:
+            with pytest.raises(ExecutionError, match="needs >= 2 levels"):
+                engine.query_rows(sql)
+            return
+        expected = [
+            (i, *([None] * (k - 1) if code is None else self._formula(coding, code, k)))
+            for i, code in enumerate(codes)
+        ]
+        rows = engine.query_rows(sql)
+        assert rows == expected
+        assert [[type(v) for v in row] for row in rows] == [
+            [type(v) for v in row] for row in expected
+        ]
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("coding", ["effect", "orthogonal"])
+    @pytest.mark.parametrize("bad", ["zero", "above"])
+    def test_out_of_range_raises_the_row_formula_error(self, coding, k, bad):
+        engine = self._engine(k)
+        code = 0 if bad == "zero" else k + 1
+        schema = Schema.of(("i", DataType.INT), ("c", DataType.INT))
+        engine.create_table("t", schema, [(0, None), (1, code), (2, 1)])
+        if coding == "orthogonal" and k < 2:
+            message = "orthogonal coding needs >= 2 levels"
+        else:
+            message = f"{coding} coding expects 1..{k}, got {code}"
+        with pytest.raises(ExecutionError, match=f"^{re.escape(message)}$"):
+            engine.query_rows(f"SELECT * FROM TABLE({coding}_code(t, 'h', 'c')) AS e")
