@@ -1,8 +1,10 @@
 """From-scratch distributed-style ML algorithms over :class:`Dataset`.
 
-Each trainer aggregates per-partition statistics or gradients and combines
-them centrally — the MLlib execution shape — so the partition structure the
-ingest produced is what the solvers actually iterate over.
+Naive Bayes, the decision tree and k-means aggregate per-partition
+statistics and combine them centrally — the MLlib execution shape.  The
+linear trainers (SVM, logistic, linear regression) stack the partitions
+once and take one gradient (or one Gram matrix) over every row, so their
+weights do not depend on the partition layout.
 """
 
 from repro.ml.algorithms.kmeans import KMeans, KMeansModel

@@ -26,23 +26,20 @@ class LinearRegressionModel:
 class LinearRegression:
     """Static trainers.
 
-    ``train`` solves the (ridge-regularized) normal equations from
-    per-partition Gram/moment sums — one pass, embarrassingly parallel.
+    ``train`` solves the (ridge-regularized) normal equations from the
+    Gram/moment sums over the stacked partitions — one pass.
     ``train_sgd`` mirrors the SGD trainers of the other linear models.
     """
 
     @staticmethod
     def train(dataset: Dataset, reg_param: float = 0.0) -> LinearRegressionModel:
-        parts = dataset.partition_arrays()
-        if not parts:
+        X, y = dataset.to_arrays()
+        if not len(X):
             raise MLError("cannot fit linear regression on an empty dataset")
-        dim = parts[0][0].shape[1]
-        gram = np.zeros((dim + 1, dim + 1))
-        moment = np.zeros(dim + 1)
-        for X, y in parts:
-            Xb = np.hstack([X, np.ones((len(X), 1))])
-            gram += Xb.T @ Xb
-            moment += Xb.T @ y
+        dim = X.shape[1]
+        Xb = np.hstack([X, np.ones((len(X), 1))])
+        gram = Xb.T @ Xb
+        moment = Xb.T @ y
         if reg_param > 0.0:
             ridge = np.eye(dim + 1) * reg_param
             ridge[dim, dim] = 0.0  # never regularize the intercept
@@ -60,8 +57,8 @@ class LinearRegression:
         reg_param: float = 0.0,
         checkpoint=None,  # TrainCheckpointer | None (§6 resumable training)
     ) -> LinearRegressionModel:
-        parts = dataset.partition_arrays()
-        if not parts:
+        X, y = dataset.to_arrays()
+        if not len(X):
             raise MLError("cannot fit linear regression on an empty dataset")
 
         def squared_loss_gradient(X, y, w, b):
@@ -69,6 +66,6 @@ class LinearRegression:
             return X.T @ errors, float(errors.sum())
 
         w, b = minibatch_sgd(
-            "linreg_sgd", parts, squared_loss_gradient, iterations, step, reg_param, checkpoint
+            "linreg_sgd", X, y, squared_loss_gradient, iterations, step, reg_param, checkpoint
         )
         return LinearRegressionModel(weights=w, intercept=b)

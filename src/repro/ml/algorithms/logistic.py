@@ -46,8 +46,8 @@ class LogisticRegressionWithSGD:
         checkpoint=None,  # TrainCheckpointer | None (§6 resumable training)
     ) -> LogisticRegressionModel:
         """Train on LabeledPoint records with labels in {0, 1}."""
-        parts = dataset.partition_arrays()
-        if not parts:
+        X, y = dataset.to_arrays()
+        if not len(X):
             raise MLError("cannot train logistic regression on an empty dataset")
 
         def log_loss_gradient(X, y, w, b):
@@ -55,7 +55,7 @@ class LogisticRegressionWithSGD:
             return X.T @ errors, float(errors.sum())
 
         w, b = minibatch_sgd(
-            "logistic", parts, log_loss_gradient, iterations, step, reg_param, checkpoint,
+            "logistic", X, y, log_loss_gradient, iterations, step, reg_param, checkpoint,
             np.random.default_rng(seed), minibatch_fraction,
         )
         return LogisticRegressionModel(weights=w, intercept=b)

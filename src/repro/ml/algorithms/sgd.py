@@ -5,7 +5,8 @@ import numpy as np
 
 def minibatch_sgd(
     name: str,
-    parts: list,
+    X: np.ndarray,
+    y: np.ndarray,
     gradient,
     iterations: int,
     step: float,
@@ -15,12 +16,13 @@ def minibatch_sgd(
     minibatch_fraction: float = 1.0,
     fit_intercept: bool = True,
 ) -> tuple[np.ndarray, float]:
-    """``(weights, intercept)`` after ``iterations`` steps over the
-    per-partition ``(X, y)`` pairs.  ``gradient(X, y, w, b)`` returns one
-    partition's ``(grad_w, grad_b)`` sums, or None for a zero gradient; each
-    step moves by ``step / sqrt(t)`` times the mean gradient plus L2
-    ``reg_param``.  Checkpoints are tagged ``name``."""
-    w = np.zeros(parts[0][0].shape[1])
+    """``(weights, intercept)`` after ``iterations`` steps over the rows of
+    ``(X, y)``, every partition stacked into one pair.  ``gradient(X, y, w,
+    b)`` returns the ``(grad_w, grad_b)`` sums over its rows; each step
+    takes one over the whole batch (or the rows a ``minibatch_fraction``
+    draw keeps) and moves by ``step / sqrt(t)`` times the mean gradient
+    plus L2 ``reg_param``.  Checkpoints are tagged ``name``."""
+    w = np.zeros(X.shape[1])
     b = 0.0
     start_t = 1
     if checkpoint is not None:
@@ -40,25 +42,16 @@ def minibatch_sgd(
         return saved
 
     for t in range(start_t, iterations + 1):
-        grad_w = np.zeros(len(w))
-        grad_b = 0.0
-        batch_size = 0
-        for X, y in parts:
-            if minibatch_fraction < 1.0:
-                mask = rng.random(len(y)) < minibatch_fraction
-                X, y = X[mask], y[mask]
-            if len(y) == 0:
-                continue
-            partial = gradient(X, y, w, b)
-            if partial is not None:
-                grad_w += partial[0]
-                grad_b += partial[1]
-            batch_size += len(y)
-        if batch_size:
+        batch_X, batch_y = X, y
+        if minibatch_fraction < 1.0:
+            mask = rng.random(len(y)) < minibatch_fraction
+            batch_X, batch_y = X[mask], y[mask]
+        if len(batch_y):
+            grad_w, grad_b = gradient(batch_X, batch_y, w, b)
             step_t = step / np.sqrt(t)
-            w -= step_t * (grad_w / batch_size + reg_param * w)
+            w -= step_t * (grad_w / len(batch_y) + reg_param * w)
             if fit_intercept:
-                b -= step_t * (grad_b / batch_size)
+                b -= step_t * (grad_b / len(batch_y))
         if checkpoint is not None:
             checkpoint.iteration_done(t, lambda: state(t))
     return w, b

@@ -2,7 +2,7 @@
 
 The paper's end-to-end experiment feeds the transformed cart data to
 ``SVMWithSGD`` for 10 iterations; this is that algorithm: hinge loss with L2
-regularization, one gradient aggregation across partitions per iteration,
+regularization, one gradient over every partition's rows per iteration,
 step size decaying as step/sqrt(t).  Labels are 0/1 on the outside and
 mapped to ±1 internally, as in MLlib.
 """
@@ -51,25 +51,17 @@ class SVMWithSGD:
         checkpoint=None,  # TrainCheckpointer | None (§6 resumable training)
     ) -> SVMModel:
         """Train on a Dataset of LabeledPoint with labels in {0, 1}."""
-        parts = dataset.partition_arrays()
-        if not parts:
+        X, y = dataset.to_arrays()
+        if not len(X):
             raise MLError("cannot train SVM on an empty dataset")
-        dims = {X.shape[1] for X, _y in parts}
-        if len(dims) != 1:
-            raise MLError(f"inconsistent feature dimensions across partitions: {dims}")
-        total = sum(len(y) for _X, y in parts)
-        signed = [(X, np.where(y > 0.5, 1.0, -1.0)) for X, y in parts]
 
         def hinge_gradient(X, y, w, b):
             violated = y * (X @ w + b) < 1.0
-            if violated.any():
-                return -(X[violated].T @ y[violated]), -float(y[violated].sum())
-            return None
+            return -(X[violated].T @ y[violated]), -float(y[violated].sum())
 
         w, b = minibatch_sgd(
-            "svm", signed, hinge_gradient, iterations, step, reg_param, checkpoint,
-            np.random.default_rng(seed), minibatch_fraction, fit_intercept,
+            "svm", X, np.where(y > 0.5, 1.0, -1.0), hinge_gradient, iterations, step,
+            reg_param, checkpoint, np.random.default_rng(seed), minibatch_fraction,
+            fit_intercept,
         )
-        if total == 0:
-            raise MLError("cannot train SVM on an empty dataset")
         return SVMModel(weights=w, intercept=b)

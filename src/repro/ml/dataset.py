@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.common.errors import MLError
+
 
 @dataclass(frozen=True)
 class LabeledPoint:
@@ -86,9 +88,9 @@ class Dataset:
         return stack_pairs(self.partition_arrays())
 
     def partition_arrays(self) -> list[tuple[np.ndarray, np.ndarray | None]]:
-        """Per-partition (X, y) arrays — what the solvers work over,
-        mimicking MLlib's per-partition gradient aggregation.  Records are
-        LabeledPoints or bare feature vectors (then y is None)."""
+        """Per-partition (X, y) arrays — what naive Bayes, the tree and
+        k-means work over; the linear trainers stack them (``to_arrays``).
+        Records are LabeledPoints or bare feature vectors (then y is None)."""
         out = []
         for p in self._partitions:
             if not p:
@@ -103,8 +105,8 @@ class ArrayDataset(Dataset):
     """A Dataset whose partitions are (X, y) feature/label arrays.
 
     ML ingestion lands here: every received block becomes float64 arrays
-    through ``batch_to_xy`` and the solvers read :meth:`partition_arrays`
-    with no per-row object ever built.  ``y`` is None for unlabeled
+    through ``batch_to_xy`` and the solvers read those arrays with no
+    per-row object ever built.  ``y`` is None for unlabeled
     (``vector_csv``) input.  Row-oriented accessors (``collect``, ``map``,
     ``first``, ...) still work — the records (LabeledPoints, or feature
     vectors when unlabeled) are synthesized lazily, once, only when
@@ -146,8 +148,13 @@ class ArrayDataset(Dataset):
 
 
 def stack_pairs(pairs: list[tuple]) -> tuple[np.ndarray, np.ndarray | None]:
-    """Concatenate (X, y) pairs, empty ones skipped, into one pair."""
+    """Concatenate (X, y) pairs, empty ones skipped, into one pair.  Their
+    feature widths must agree: a CSV split takes its width from its own
+    first record."""
     pairs = [(X, y) for X, y in pairs if len(X)]
+    widths = sorted({X.shape[1] for X, _ in pairs})
+    if len(widths) > 1:
+        raise MLError(f"inconsistent feature dimensions across partitions: widths {widths}")
     if not pairs:
         return np.empty((0, 0)), np.empty((0,))
     if len(pairs) == 1:

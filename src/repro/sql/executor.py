@@ -562,19 +562,24 @@ class Executor:
 
 class _JoinIndex:
     """The build side of a join: each row's key factorised into one int64
-    code, the codes stably argsorted once, so a probe is two ``searchsorted``
-    calls and rows of equal key keep build order.
+    code, the codes stably argsorted once, and rows of equal key keep build
+    order.  Where the code space is small next to the build (a single-key
+    join's always is), the build rows are also counted per code, so a probe
+    finds its run of build rows by two gathers; elsewhere by two
+    ``searchsorted`` calls.  Both give the same pairs.
 
     The code is a mixed radix over the key positions.  A position that is a
     typed array on every side is coded by the build's values: a VARCHAR part
     is its dictionary code, a numeric part its rank among the build's
-    distinct values.  The other positions — Python values from
-    ``bind_batch``, VARCHAR against non-VARCHAR, INT against DOUBLE beyond
-    2**53, where numpy's comparison is not Python's — are coded together
-    through one Python-value domain: a dict over the build side's key
-    tuples, which matches by ``==`` and ``hash`` as a tuple hash join does.
-    So is every position when the radix would pass 2**62.  A row with a
-    NULL (or NaN) key part has no code and never matches."""
+    distinct values — read from a table over ``[min, max]`` for an integer
+    key of narrow span, else found by ``searchsorted``.  The other
+    positions — Python values from ``bind_batch``, VARCHAR against
+    non-VARCHAR, INT against DOUBLE beyond 2**53, where numpy's comparison
+    is not Python's — are coded together through one Python-value domain:
+    a dict over the build side's key tuples, which matches by ``==`` and
+    ``hash`` as a tuple hash join does.  So is every position when the
+    radix would pass 2**62.  A row with a NULL (or NaN) key part has no code
+    and never matches."""
 
     def __init__(self, batch: ColumnBatch, keys: list, probes: list[list], outer: bool):
         positions = range(len(keys))
@@ -586,12 +591,24 @@ class _JoinIndex:
         self.python = [p for p in positions if p not in self._domains]
         self._tuples = _tuple_domain(keys, self.python)
         domains = (*self._domains.values(), self._tuples)
-        if math.prod(max(len(domain), 1) for domain in domains) >= 2**62:
+        space = math.prod(max(len(domain), 1) for domain in domains)
+        if space >= 2**62:
             self._domains, self.python = {}, list(positions)
             self._tuples = _tuple_domain(keys, self.python)
+            space = max(len(self._tuples), 1)
+        self._tables = {
+            p: table for p, domain in self._domains.items()
+            if (table := _rank_table(domain)) is not None
+        }
         codes = self.codes(keys, batch.num_rows)
         order = np.argsort(codes, kind="stable")[np.count_nonzero(codes < 0) :]
         self._sorted = codes[order]
+        # Each code's run of sorted build rows, (first, count), by address;
+        # the slot past the last code counts 0, so code -1 reads no run.
+        self._runs = None
+        if _addressable(space, batch.num_rows):
+            counts = np.bincount(self._sorted, minlength=space + 1)
+            self._runs = (np.cumsum(counts) - counts, counts)
         # One slot past the sorted rows stands for "no match": the all-NULL
         # row a LEFT JOIN appends to the build side.
         self._order = np.append(order, batch.num_rows)
@@ -619,6 +636,11 @@ class _JoinIndex:
                 part = np.append(lookup, -1)[np.where(key.valid, key.values, -1)]
             elif not len(domain):
                 part = np.full(num_rows, -1)
+            elif position in self._tables and key.values.dtype.kind == "i":
+                low, table = self._tables[position]
+                values = key.values.astype(np.int64, copy=False)
+                inside = key.valid & (values >= low) & (values <= low + len(table) - 1)
+                part = np.where(inside, table[np.where(inside, values, low) - low], -1)
             else:
                 rank = np.searchsorted(domain, key.values).clip(max=len(domain) - 1)
                 part = np.where(key.valid & (domain[rank] == key.values), rank, -1)
@@ -638,8 +660,11 @@ class _JoinIndex:
         """``(probe row, build row)`` index pairs of the join of the probe
         rows' ``codes``, in probe order and then build order.  An outer join
         pairs an unmatched probe row with the NULL row, once."""
-        first = np.searchsorted(self._sorted, codes, "left")
-        counts = np.searchsorted(self._sorted, codes, "right") - first
+        if self._runs is None:
+            first = np.searchsorted(self._sorted, codes, "left")
+            counts = np.searchsorted(self._sorted, codes, "right") - first
+        else:
+            first, counts = (column[codes] for column in self._runs)
         first[counts == 0] = len(self._sorted)
         if self._outer:
             counts = np.maximum(counts, 1)
@@ -664,6 +689,26 @@ def _typed_position(build, probes: list) -> bool:
             if len(ints) and max(-int(ints.min()), int(ints.max())) > 2**53:
                 return False
     return True
+
+
+def _addressable(span: int, entries: int) -> bool:
+    """Whether a table of ``span`` slots over ``entries`` entries is small
+    enough to address directly: four slots an entry, plus 1 024."""
+    return span <= 4 * entries + 1024
+
+
+def _rank_table(domain) -> tuple[int, np.ndarray] | None:
+    """An integer domain's ranks by address, ``(min, table)``: the table
+    over ``[min, max]`` holds each value's rank and -1 between.  None for
+    any other domain, or where the span is too wide for its size."""
+    if isinstance(domain, dict) or domain.dtype.kind != "i" or not len(domain):
+        return None
+    low, high = int(domain[0]), int(domain[-1])  # Python ints: no overflow
+    if not _addressable(high - low + 1, len(domain)):
+        return None
+    table = np.full(high - low + 1, -1, dtype=np.int64)
+    table[domain - low] = np.arange(len(domain))
+    return low, table
 
 
 def _typed_domain(key):

@@ -99,9 +99,13 @@ class MuxSocketTransport:
         # receive side
         self._socket_lock = threading.Lock()
         self._recv_cond = threading.Condition()
+        #: A live tag has an ``_overflow`` and a ``_frames`` queue from
+        #: ``new_tag`` to ``release_tag``; a released tag is in neither, and
+        #: its EOF and closed marks go too, so the per-tag state of a
+        #: long-running transport is its live tags' (plus the CANCEL and
+        #: ABORT marks, which stay sticky).
         self._frames: dict[int, deque[bytes]] = {}
         self._eof: set[int] = set()
-        self._released: set[int] = set()
         self._cancelled: set[int] = set()  # tags with a received CANCEL
         self._aborted: dict[int, str] = {}  # tag -> reason of a received ABORT
         self._stream_eof = False
@@ -114,6 +118,8 @@ class MuxSocketTransport:
         tag = next(self._tag_ids)
         with self._send_lock:
             self._overflow[tag] = deque()
+        with self._recv_cond:
+            self._frames[tag] = deque()
         return tag
 
     # ------------------------------------------------------------ send side
@@ -123,7 +129,7 @@ class MuxSocketTransport:
         (the caller's spill accounting)."""
         frame = _MUX_FRAME.pack(len(payload), tag) + payload
         with self._send_lock:
-            if self._transport_closed or tag in self._closed_tags:
+            if not self._sendable(tag):
                 raise TransferError(f"send on closed mux tag {tag}")
             self._pump_locked()
             queue = self._overflow[tag]
@@ -139,6 +145,12 @@ class MuxSocketTransport:
                 self._wire_tag = tag
                 return len(frame) - sent
             return 0
+
+    def _sendable(self, tag: int) -> bool:
+        """Whether ``tag`` is live and not closed (send lock held)."""
+        return not self._transport_closed and tag in self._overflow and (
+            tag not in self._closed_tags
+        )
 
     def _try_send(self, data: bytes) -> int:
         try:
@@ -230,9 +242,9 @@ class MuxSocketTransport:
         later ``close_tag`` is a no-op (sticky).  Idempotent."""
         with self._send_lock:
             queue = self._overflow.get(tag)
-            if queue:
+            if queue is not None:
                 queue.clear()
-            self._closed_tags.add(tag)
+                self._closed_tags.add(tag)
         self._send_control(tag, _ABORT, reason)
 
     def close_tag(self, tag: int, budget=None) -> None:
@@ -259,10 +271,10 @@ class MuxSocketTransport:
         """
         eof = _MUX_FRAME.pack(0, tag)
         with self._send_lock:
-            if self._transport_closed or tag in self._closed_tags:
+            if not self._sendable(tag):
                 return
             self._closed_tags.add(tag)
-            self._overflow.setdefault(tag, deque()).append(eof)
+            self._overflow[tag].append(eof)
         deadline = self._clock.now() + self._send_timeout_s
         dispose = (
             budget.on_cancel(self._notify_drain) if budget is not None else None
@@ -299,11 +311,10 @@ class MuxSocketTransport:
         frames are discarded, other tags are untouched)."""
         with self._send_lock:
             self._overflow.pop(tag, None)
-            self._closed_tags.add(tag)
+            self._closed_tags.discard(tag)
         with self._recv_cond:
-            self._released.add(tag)
             self._frames.pop(tag, None)
-            self._eof.add(tag)
+            self._eof.discard(tag)
             self._recv_cond.notify_all()
         self._notify_drain()
 
@@ -348,7 +359,7 @@ class MuxSocketTransport:
                 queue = self._frames.get(tag)
                 if queue:
                     return queue.popleft()
-                if tag in self._eof or self._stream_eof:
+                if self._ended(tag):
                     return None
             if budget is not None:
                 budget.check(f"mux tag {tag} receive")
@@ -367,12 +378,13 @@ class MuxSocketTransport:
                     self._socket_lock.release()
             else:
                 with self._recv_cond:
-                    if (
-                        not self._frames.get(tag)
-                        and tag not in self._eof
-                        and not self._stream_eof
-                    ):
+                    if not self._frames.get(tag) and not self._ended(tag):
                         self._clock.wait_on(self._recv_cond, slice_s)
+
+    def _ended(self, tag: int) -> bool:
+        """Whether ``tag`` has no more frames to come: its EOF arrived, it
+        was released, or the whole stream ended (``_recv_cond`` held)."""
+        return tag in self._eof or tag not in self._frames or self._stream_eof
 
     def _pump_receive(self, max_wait: float) -> None:
         try:
@@ -410,10 +422,11 @@ class MuxSocketTransport:
                         target, verb = _CONTROL_PAYLOAD.unpack_from(payload)
                         reason = payload[_CONTROL_PAYLOAD.size :].decode()
                         self._mark(target, verb, reason)
-                elif length == 0:
-                    self._eof.add(frame_tag)
-                elif frame_tag not in self._released:
-                    self._frames.setdefault(frame_tag, deque()).append(payload)
+                elif frame_tag in self._frames:  # a released tag's frames drop
+                    if length == 0:
+                        self._eof.add(frame_tag)
+                    else:
+                        self._frames[frame_tag].append(payload)
             self._recv_cond.notify_all()
         # Bytes left the kernel buffer: blocked close_tag flushes can retry.
         self._notify_drain()

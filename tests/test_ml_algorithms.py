@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.checkpoint import CheckpointStore, TrainCheckpointer
+from repro.cluster.cluster import make_paper_cluster
 from repro.common.errors import MLError
+from repro.hdfs.filesystem import DistributedFileSystem
 from repro.ml.algorithms import (
     DecisionTree,
     KMeans,
@@ -12,7 +16,7 @@ from repro.ml.algorithms import (
     NaiveBayes,
     SVMWithSGD,
 )
-from repro.ml.dataset import Dataset, LabeledPoint
+from repro.ml.dataset import ArrayDataset, Dataset, LabeledPoint
 
 
 def make_separable(n=400, seed=3, margin=1.0, num_partitions=4) -> Dataset:
@@ -222,3 +226,95 @@ class TestLinearRegression:
     def test_empty_rejected(self):
         with pytest.raises(MLError):
             LinearRegression.train(Dataset([[]]))
+
+
+# ------------------------------------------------- partition invariance
+
+def _svm_gradient(X, y, w, b):
+    signed = np.where(y > 0.5, 1.0, -1.0)
+    violated = signed * (X @ w + b) < 1.0
+    return -(X[violated].T @ signed[violated]), -signed[violated].sum()
+
+
+def _logistic_gradient(X, y, w, b):
+    errors = 1.0 / (1.0 + np.exp(-np.clip(X @ w + b, -35.0, 35.0))) - y
+    return X.T @ errors, errors.sum()
+
+
+def _squared_gradient(X, y, w, b):
+    errors = X @ w + b - y
+    return X.T @ errors, errors.sum()
+
+
+def full_batch_sgd(X, y, gradient, iterations, step, reg, fraction, seed):
+    """The oracle: one gradient over every row (or each iteration's sampled
+    rows) per step, written out with numpy."""
+    rng = np.random.default_rng(seed)
+    w, b = np.zeros(X.shape[1]), 0.0
+    for t in range(1, iterations + 1):
+        rows = rng.random(len(y)) < fraction if fraction < 1.0 else slice(None)
+        Xt, yt = X[rows], y[rows]
+        if len(yt):
+            grad_w, grad_b = gradient(Xt, yt, w, b)
+            w = w - step / np.sqrt(t) * (grad_w / len(yt) + reg * w)
+            b = b - step / np.sqrt(t) * (grad_b / len(yt))
+    return np.append(w, b)
+
+
+#: (trainer, keyword arguments, oracle gradient, step, regularisation)
+TRAINERS = {
+    "svm": (SVMWithSGD.train, {}, _svm_gradient, 1.0, 0.01),
+    "logistic": (LogisticRegressionWithSGD.train, {"reg_param": 0.1}, _logistic_gradient, 1.0, 0.1),
+    "linreg_sgd": (LinearRegression.train_sgd, {}, _squared_gradient, 0.1, 0.0),
+}
+TRAINER_CASES = [
+    ("svm", 1.0), ("svm", 0.5), ("logistic", 1.0), ("logistic", 0.5), ("linreg_sgd", 1.0)
+]
+
+
+def _train(name, fraction, dataset, iterations, checkpoint=None):
+    train, kwargs, *_ = TRAINERS[name]
+    kwargs = dict(kwargs, iterations=iterations, checkpoint=checkpoint)
+    if fraction < 1.0:
+        kwargs.update(minibatch_fraction=fraction, seed=5)
+    model = train(dataset, **kwargs)
+    return np.append(model.weights, model.intercept)
+
+
+@st.composite
+def layouts(draw):
+    """Random rows and several ways of cutting them into partitions, empty
+    partitions included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, width = draw(st.integers(1, 60)), draw(st.integers(1, 4))
+    X = rng.normal(0.0, 3.0, (rows, width))
+    y = (rng.random(rows) < 0.5).astype(float)
+    cuts = st.lists(st.integers(0, rows), max_size=6).map(lambda c: [0, *sorted(c), rows])
+    return X, y, draw(st.lists(cuts, min_size=2, max_size=4))
+
+
+@pytest.mark.parametrize("name, fraction", TRAINER_CASES)
+@settings(max_examples=40, deadline=None)
+@given(case=layouts())
+def test_training_does_not_depend_on_the_partition_layout(name, fraction, case):
+    X, y, cut_lists = case
+    _train_fn, _kwargs, gradient, step, reg = TRAINERS[name]
+    expected = full_batch_sgd(X, y, gradient, 6, step, reg, fraction, seed=5)
+    for cuts in cut_lists:
+        dataset = ArrayDataset([(X[a:b], y[a:b]) for a, b in zip(cuts, cuts[1:])])
+        assert _train(name, fraction, dataset, 6).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name, fraction", TRAINER_CASES)
+@settings(max_examples=10, deadline=None)
+@given(case=layouts(), stop=st.integers(1, 5))
+def test_resuming_from_a_checkpoint_gives_the_uninterrupted_weights(name, fraction, case, stop):
+    X, y, cut_lists = case
+    dataset = ArrayDataset([(X[a:b], y[a:b]) for a, b in zip(cut_lists[0], cut_lists[0][1:])])
+    cluster = make_paper_cluster(2)
+    store = CheckpointStore(DistributedFileSystem(cluster, block_size=64 * 1024, replication=2))
+    checkpoint = TrainCheckpointer("job", store=store, interval=1)
+    _train(name, fraction, dataset, stop, checkpoint)  # saves iteration `stop` last
+    resumed = _train(name, fraction, dataset, 6, checkpoint)
+    assert checkpoint.restored_iteration == stop
+    assert resumed.tobytes() == _train(name, fraction, dataset, 6).tobytes()

@@ -15,11 +15,12 @@ from hypothesis import given, settings, strategies as st
 from repro import make_deployment
 from repro.cluster.cluster import make_paper_cluster
 from repro.columnar.batch import ColumnBatch
-from repro.common.errors import IngestError, TransferError
+from repro.common.errors import IngestError, MLError, TransferError
 from repro.hdfs.filesystem import DistributedFileSystem
 from repro.integration.pipeline import render_csv
 from repro.iofmt.inputformat import JobConf
 from repro.iofmt.text import CsvInputFormat, FileSplit, LineRecordReader
+from repro.ml.algorithms import LinearRegression, LogisticRegressionWithSGD, SVMWithSGD
 from repro.ml.dataset import ArrayDataset
 from repro.ml.job import MLJob
 from repro.ml.system import MLSystem
@@ -70,6 +71,28 @@ def oracle(dfs, split, delimiter, label_index, label_offset):
     X = np.array([r[:at] + r[at + 1:] for r in records], dtype=float)
     y = np.array([r[at] - label_offset for r in records], dtype=float)
     return X, y
+
+
+@pytest.mark.parametrize(
+    "train",
+    [
+        SVMWithSGD.train,
+        LogisticRegressionWithSGD.train,
+        LinearRegression.train_sgd,
+        LinearRegression.train,
+    ],
+    ids=["svm", "logistic", "linreg_sgd", "linreg"],
+)
+def test_splits_of_different_widths_are_refused_by_every_trainer(train):
+    """A CSV split takes its width from its own first record, so two splits
+    can disagree; every linear trainer refuses them with a typed error that
+    names the widths."""
+    raw = b"1,2,0\n3,4,1\n5,6,7,1\n8,9,1,0\n"
+    props = {"label.index": -1, "label.offset": 0.0}
+    dataset, _dfs, _splits = ingest(raw, props, cuts=[raw.index(b"5,6") - 1])
+    assert [X.shape[1] for X, _y in dataset.partition_arrays()] == [2, 3]
+    with pytest.raises(MLError, match=r"widths \[2, 3\]"):
+        train(dataset)
 
 
 FIELDS = st.one_of(

@@ -5,6 +5,7 @@ import pytest
 from repro import make_deployment
 from repro.common.errors import TransferError
 from repro.sql.types import DataType, Schema
+from repro.transfer.socket_channel import MuxSocketTransport
 from tests.channel_contract import ChannelContract
 
 
@@ -63,3 +64,33 @@ class TestSocketTransportEndToEnd:
 
         with pytest.raises(TransferError, match="transport"):
             Coordinator(make_paper_cluster(), transport="carrier-pigeon")
+
+
+def test_released_tags_leave_no_state_behind():
+    """A transport outlives its sessions, so it holds state for live tags
+    only: a released tag's queues and its EOF and closed marks go with it
+    (they used to stay, and a serving process grew with every session),
+    and frames of it still on the wire are dropped when they arrive."""
+    transport = MuxSocketTransport(buffer_bytes=4096)
+    try:
+        live = transport.new_tag()
+        for _ in range(50):
+            tag = transport.new_tag()
+            transport.send(tag, b"x" * 100)
+            transport.close_tag(tag)
+            assert transport.recv(tag, timeout=5) == b"x" * 100
+            assert transport.recv(tag, timeout=5) is None
+            transport.release_tag(tag)
+        late = transport.new_tag()
+        transport.send(late, b"late")
+        transport.close_tag(late)
+        transport.release_tag(late)  # its frame and EOF are still on the wire
+        transport.send(live, b"live")
+        assert transport.recv(live, timeout=5) == b"live"
+        assert transport.recv(late, timeout=5) is None
+        with pytest.raises(TransferError):
+            transport.send(late, b"after release")
+        assert set(transport._overflow) == set(transport._frames) == {live}
+        assert not transport._eof and not transport._closed_tags
+    finally:
+        transport.close()

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cluster.cluster import make_paper_cluster
+from repro.columnar.batch import ColumnBatch
 from repro.hdfs.filesystem import DistributedFileSystem
 from repro.sql.engine import BigSQL
+from repro.sql.executor import _JoinIndex, _key_column
 from repro.sql.types import DataType, Schema
 
 T1_SCHEMA = Schema.of(
@@ -218,3 +220,104 @@ def test_text_scan_matches_sqlite(sql, data):
     t1, t2 = data
     ours = normalize(run_ours_on_text(t1, t2, sql))
     assert ours == normalize(run_sqlite(t1, t2, sql)), f"disagreement on: {sql}"
+
+
+# ------------------------------------------------------------ join families
+# The join ranks an integer key by a table over the build side's [min, max]
+# where that span is narrow, else by binary search; it finds a probe row's
+# build rows by address where the key code space is small next to the build
+# side, else by binary search.  Each family holds keys on one side of those
+# selections; none of them leaves the vector kernels.
+
+WIDE_KEYS = [-(2**31), -90_000, -1, 0, 3, 70_000, 2**31 - 1]
+INT64_EDGES = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
+DOUBLE_KEYS = [float("nan"), -2.0, 0.0, 0.5, 1.0, 3.0, None]  # SQLite stores NaN as NULL
+
+
+@st.composite
+def join_tables(draw, ids=st.integers(0, 30), grp=st.integers(0, 4), val=st.integers(-3, 3),
+                gid=st.integers(0, 4), weight=st.sampled_from(DOUBLE_KEYS), t1_size=(0, 40),
+                unique=()):
+    t1 = draw(st.lists(st.tuples(ids, grp, val, st.sampled_from(NAMES)),
+                       min_size=t1_size[0], max_size=t1_size[1], unique_by=unique or None))
+    t2 = draw(st.lists(st.tuples(gid, weight, st.sampled_from(TAGS)), max_size=15))
+    return t1, t2
+
+
+_BY_GRP = "SELECT t1.id, t1.val, t2.tag FROM t1 JOIN t2 ON t1.grp = t2.gid"
+JOIN_FAMILIES = {
+    "small span, duplicate keys on both sides": (
+        dict(grp=st.integers(0, 6), gid=st.integers(0, 6)), _BY_GRP),
+    "span wider than the table bound": (
+        dict(grp=st.sampled_from(WIDE_KEYS), gid=st.sampled_from(WIDE_KEYS)), _BY_GRP),
+    "negative keys": (dict(grp=st.integers(-12, 0), gid=st.integers(-9, -1)), _BY_GRP),
+    "probe keys outside [min, max]": (
+        dict(grp=st.integers(-5, 25), gid=st.integers(8, 12)), _BY_GRP),
+    "NULL keys": (
+        dict(grp=st.one_of(st.none(), st.integers(0, 4)),
+             gid=st.one_of(st.none(), st.integers(0, 4))), _BY_GRP),
+    "int64 extremes": (
+        dict(ids=st.sampled_from(INT64_EDGES)),
+        "SELECT a.grp, b.val FROM t1 AS a JOIN t1 AS b ON a.id = b.id"),
+    "DOUBLE keys with NaN": (
+        {}, "SELECT a.gid, a.tag, b.tag FROM t2 AS a JOIN t2 AS b ON a.weight = b.weight"),
+    "INT against DOUBLE keys": (
+        dict(val=st.one_of(st.none(), st.integers(-3, 3))),
+        "SELECT t1.id, t2.tag FROM t1 JOIN t2 ON t1.val = t2.weight"),
+    # 40+ distinct ids times 40+ distinct vals passes 4 * rows + 1024 codes
+    "two keys above the code-space bound": (
+        dict(ids=st.integers(0, 10**6), val=st.integers(-(10**6), 10**6), t1_size=(40, 60),
+             unique=(lambda r: r[0], lambda r: r[2])),
+        "SELECT a.id, b.grp FROM t1 AS a JOIN t1 AS b ON a.id = b.id AND a.val = b.val"),
+    "LEFT JOIN with unmatched probe rows": (
+        dict(grp=st.integers(0, 8), gid=st.integers(3, 5)),
+        "SELECT t1.id, t1.grp, t2.gid, t2.tag FROM t1 LEFT JOIN t2 ON t1.grp = t2.gid"),
+}
+
+
+@pytest.mark.parametrize("family", JOIN_FAMILIES)
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_join_family_matches_sqlite(family, data):
+    columns, sql = JOIN_FAMILIES[family]
+    t1, t2 = data.draw(join_tables(**columns))
+    engine = BigSQL(make_paper_cluster())
+    engine.create_table("t1", T1_SCHEMA, t1)
+    engine.create_table("t2", T2_SCHEMA, t2)
+    assert normalize(engine.query_rows(sql)) == normalize(run_sqlite(t1, t2, sql))
+    assert engine.cluster.ledger.get("columnar.fallback") == 0
+
+
+KEY_PARTS = st.one_of(st.none(), st.integers(-40, 40), st.sampled_from(WIDE_KEYS))
+
+
+@st.composite
+def key_rows(draw):
+    """Build and probe key tuples of one or two BIGINT parts, NULLs included."""
+    row = st.tuples(*[KEY_PARTS] * draw(st.integers(1, 2)))
+    return draw(st.lists(row, max_size=60)), draw(st.lists(row, max_size=30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=key_rows(), outer=st.booleans())
+def test_join_index_gathers_the_pairs_binary_search_finds(case, outer):
+    """The join index's address paths (rank table, per-code runs) and its
+    ``searchsorted`` paths give the same ``(probe row, build row)`` pairs as
+    a nested loop: probe order, then build order; a LEFT JOIN's unmatched
+    probe row pairs with the NULL row one past the build rows."""
+    build_rows, probe_rows = case
+    width = len((build_rows + probe_rows + [(None,)])[0])
+    schema = Schema.of(*[(f"k{i}", DataType.BIGINT) for i in range(width)])
+    build, probe = (ColumnBatch.from_rows(schema, rows) for rows in (build_rows, probe_rows))
+    build_keys, probe_keys = ([_key_column(c) for c in b.columns] for b in (build, probe))
+    index = _JoinIndex(build, build_keys, [probe_keys], outer)
+    addressed = index.match(index.codes(probe_keys, probe.num_rows))
+    index._tables, index._runs = {}, None
+    searched = index.match(index.codes(probe_keys, probe.num_rows))
+
+    expected = []
+    for i, key in enumerate(probe_rows):
+        matches = [(i, j) for j, other in enumerate(build_rows) if None not in key and key == other]
+        expected += matches or ([(i, len(build_rows))] if outer else [])
+    for pairs in (addressed, searched):
+        assert list(zip(*(side.tolist() for side in pairs))) == expected
